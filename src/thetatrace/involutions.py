@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import BoundTooLarge, NTooLarge, ParityMismatch
 
@@ -86,12 +86,22 @@ def list_involutions(n: int) -> List[Involution]:
     return list(_all_involutions(n))
 
 
+@lru_cache(maxsize=None)
+def _pair_tally(n: int) -> tuple:
+    """counts[p] = number of involutions of {1..n} with p pairs, tallied in
+    one pass over the enumeration."""
+    counts = [0] * (n // 2 + 1)
+    for s in list_involutions(n):
+        counts[len(s.pairs)] += 1
+    return tuple(counts)
+
+
 def count_with_fixed(n: int, r: int) -> int:
     """Number of involutions of {1..n} with exactly r fixed points, counted
     by enumeration."""
     if (n - r) % 2 != 0 or not (0 <= r <= n):
         raise ParityMismatch(f"no involutions of {n} elements fix exactly {r}")
-    return sum(1 for s in list_involutions(n) if len(s.fixed()) == r)
+    return _pair_tally(n)[(n - r) // 2]
 
 
 def closed_form_fixed_count(p: int, r: int) -> int:
@@ -204,22 +214,13 @@ def exponential_regroup_check(p_max: int, r_max: int) -> dict:
     """
     if not (0 <= p_max <= 20 and 0 <= r_max <= 20):
         raise BoundTooLarge("regroup bounds must lie in [0, 20]")
-    by_shape: Dict[int, Dict[int, int]] = {}
-    for n in range(1, N_CAP + 1):
-        tally: Dict[int, int] = {}
-        for s in list_involutions(n):
-            p = len(s.pairs)
-            tally[p] = tally.get(p, 0) + 1
-        by_shape[n] = tally
-
-    worst_term = None
     checked = 0
     for p in range(p_max + 1):
         for r in range(r_max + 1):
             n = 2 * p + r
             count = closed_form_fixed_count(p, r)
             if 1 <= n <= N_CAP:
-                enum = by_shape[n].get(p, 0)
+                enum = count_with_fixed(n, r)
                 if enum != count:
                     return {
                         "equal": False,

@@ -91,6 +91,12 @@ def _lattice_sum(
         # the margin geometry collapsed, which does not happen for Im tau
         # above the floor
         raise TailBoundViolated("empty enumeration ball for the trace sum")
+    # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
+    # cushion covering the lattice-count factor at desk scale
+    if len(pts) > 10**4:
+        raise TailBoundViolated(
+            f"tail cushion cannot cover {len(pts)} enumerated points"
+        )
     acc = 0j
     try:
         for m in pts:
@@ -104,12 +110,6 @@ def _lattice_sum(
             "trace sum overflows double precision; insertion vectors are "
             "outside the desk-scale range"
         ) from exc
-    # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
-    # cushion covering the lattice-count factor at desk scale
-    if len(pts) > 10**4:
-        raise TailBoundViolated(
-            f"tail cushion cannot cover {len(pts)} enumerated points"
-        )
     return acc
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from thetatrace import cli
+from thetatrace import cli, modular
+from thetatrace.lattice import EvenLattice
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 LATTICE_DIR = REPO_DIR / "lattices"
@@ -59,13 +60,48 @@ def test_verify_theta_classical_passes(capsys):
     assert rep["overall"] == "pass"
 
 
+def test_verify_special_functions_redraws_taus_below_floor(capsys):
+    # at this seed one sampled tau has Im(TST.tau) = 0.248, below the floor
+    code, rep = report_of(["verify", "special-functions", "--seed", "34680"], capsys)
+    assert code == 0
+    assert rep["overall"] == "pass"
+
+
 def test_verify_deterministic_modulo_runtime(capsys):
-    _, rep1 = report_of(["verify", "combinatorics", "--seed", "5"], capsys)
-    _, rep2 = report_of(["verify", "combinatorics", "--seed", "5"], capsys)
-    for rep in (rep1, rep2):
-        for check in rep["checks"]:
-            check["runtime_ms"] = 0
-    assert rep1 == rep2
+    # main-theorem runs first on a cold fit memo, then on a warm one
+    modular.fit_alpha.cache_clear()
+    for suite in ("combinatorics", "main-theorem"):
+        _, rep1 = report_of(["verify", suite, "--seed", "5"], capsys)
+        _, rep2 = report_of(["verify", suite, "--seed", "5"], capsys)
+        for rep in (rep1, rep2):
+            for check in rep["checks"]:
+                check["runtime_ms"] = 0
+        assert rep1 == rep2
+
+
+def test_main_theorem_fits_each_alpha_once(monkeypatch):
+    modular.fit_alpha.cache_clear()
+    fits, holdouts = [], []
+    fit, verify = modular.fit_transition, modular.verify_relation
+
+    def counting_fit(L, alpha, samples, *rest):
+        fits.append((alpha, tuple(samples)))
+        return fit(L, alpha, samples, *rest)
+
+    def counting_verify(*args):
+        holdouts.append(args[1])
+        return verify(*args)
+
+    monkeypatch.setattr(modular, "fit_transition", counting_fit)
+    monkeypatch.setattr(modular, "verify_relation", counting_verify)
+    L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
+    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, tight=True, seed=0)
+    rep = cli.run_suite("main-theorem", cfg)
+    assert rep["overall"] == "pass"
+    assert len(fits) == len(set(fits))
+    # holdout-t, holdout-s and the five random words
+    assert len(holdouts) == 7
+    assert holdouts[:2] == [modular.T, modular.S]
 
 
 def test_verify_jobs_agree_with_serial(capsys):

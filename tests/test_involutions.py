@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from thetatrace import involutions
 from thetatrace.errors import BoundTooLarge, NTooLarge, ParityMismatch
 from thetatrace.involutions import (
     Involution,
@@ -83,6 +84,18 @@ def test_count_with_fixed_n6():
     assert count_with_fixed(6, 6) == 1
     with pytest.raises(ParityMismatch):
         count_with_fixed(6, 1)
+
+
+def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
+    involutions._pair_tally.cache_clear()
+    seen = []
+    enumerate_n = involutions.list_involutions
+    monkeypatch.setattr(
+        involutions, "list_involutions", lambda n: seen.append(n) or enumerate_n(n)
+    )
+    counts = [count_with_fixed(10, r) for r in range(0, 11, 2)]
+    assert counts == [closed_form_fixed_count((10 - r) // 2, r) for r in range(0, 11, 2)]
+    assert seen == [10]
 
 
 def test_closed_form_fixed_count_formula():

@@ -91,6 +91,17 @@ def test_z_trace_overflow_guard():
         z_trace(L4, (0,), TracePoint((40j,), (0.0,), 1.0j))
 
 
+def test_z_trace_tail_cushion_checked_before_summing(monkeypatch):
+    # at Im tau = 0.002 the a2 ball holds 11,977 points, more than the 1e4
+    # cushion covers; the sum must be refused before any term is evaluated
+    def no_terms(*args):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr(EvenLattice, "inner", no_terms)
+    with pytest.raises(TailBoundViolated, match="11977 enumerated points"):
+        z_trace(A2, A2.cosets[0], TracePoint((0, 0), (0, 0), 0.002j), im_floor=0.001)
+
+
 def test_state_pairing_sign_convention():
     assert state_pairing(L4, (1,), (1,)) == -4
     assert state_pairing(A2, (1, 0), (0, 1)) == 1
