@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Sequence, Tuple
 
 from .errors import CutoffTooLarge
 from .lattice import EvenLattice
@@ -72,8 +73,13 @@ def _colored_multisets(budget: int, dims: int):
     yield from rec(budget, (budget, dims - 1))
 
 
-def build_basis(L: EvenLattice, beta: Sequence, grade_max) -> List[FockState]:
-    """Every state of grade <= grade_max, sorted by (grade, point, modes)."""
+@lru_cache(maxsize=None)
+def build_basis(L: EvenLattice, beta: Sequence, grade_max) -> Tuple[FockState, ...]:
+    """Every state of grade <= grade_max, sorted by (grade, point, modes).
+
+    Memoized: the census and recursion checks of one run share each basis.
+    beta must be hashable (a tuple).
+    """
     grade_max = Fraction(grade_max)
     if grade_max > GRADE_CAP:
         raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
@@ -84,7 +90,7 @@ def build_basis(L: EvenLattice, beta: Sequence, grade_max) -> List[FockState]:
         for modes in _colored_multisets(int(budget), L.dim):
             states.append(FockState(m, modes))
     states.sort(key=lambda s: (s.grade(L), s.point, s.modes))
-    return states
+    return tuple(states)
 
 
 def apply_mode(
@@ -238,15 +244,6 @@ def s_function_trace(
     return BiSeries(x_lo, x_hi, q_top, coeffs, qden, x_exact=False)
 
 
-def _dict_to_biseries(qdict: dict, qden: int, q_top: int) -> BiSeries:
-    coeffs = {}
-    for expo, val in qdict.items():
-        key = Fraction(expo) * qden
-        assert key.denominator == 1
-        coeffs[(0, int(key))] = val
-    return BiSeries(0, 0, q_top, coeffs, qden, x_exact=True)
-
-
 def verify_trace_recursion(
     L: EvenLattice,
     beta: Sequence,
@@ -264,22 +261,12 @@ def verify_trace_recursion(
     """
     beta = tuple(Fraction(x) for x in beta)
     lhs = s_function_trace(L, beta, vectors, x_span, q_order)
-    qden, q_top = lhs.q_denom, lhs.q_order
-    if len(vectors) == 1:
-        rhs = _dict_to_biseries(
-            graded_trace_series(L, beta, q_order, weights=list(vectors)), qden, q_top
-        )
-    else:
+    rhs = graded_trace_series(L, beta, q_order, weights=list(vectors))
+    if len(vectors) == 2:
         v1, v2 = vectors
-        zero_modes = _dict_to_biseries(
-            graded_trace_series(L, beta, q_order, weights=[v1, v2]), qden, q_top
-        )
-        character = _dict_to_biseries(
-            graded_trace_series(L, beta, q_order), qden, q_top
-        )
         pairing = state_pairing(L, [-complex(x) for x in v1], v2)
         kernel = p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2)
-        rhs = zero_modes + kernel * character
+        rhs = rhs + kernel * graded_trace_series(L, beta, q_order)
     err = lhs.max_abs_diff(rhs)
     return {
         "max_error": err,

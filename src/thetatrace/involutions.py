@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BoundTooLarge, NTooLarge, ParityMismatch
 
@@ -62,36 +62,40 @@ class Involution:
         return tuple(img)
 
 
-@lru_cache(maxsize=None)
-def _all_involutions(n: int) -> tuple:
-    out: List[Involution] = []
+def _involutions(n: int) -> Iterator[Involution]:
+    """Every involution of {1..n}, identity first, each built and validated
+    as it is yielded."""
+    if not (1 <= n <= N_CAP):
+        raise NTooLarge(f"need 1 <= n <= {N_CAP}, got {n}")
 
     def rec(avail: Tuple[int, ...], pairs):
         if not avail:
-            out.append(Involution(n, tuple(pairs)))
+            yield Involution(n, tuple(pairs))
             return
         first, rest = avail[0], avail[1:]
-        rec(rest, pairs)  # fix first
+        yield from rec(rest, pairs)  # fix first
         for k, other in enumerate(rest):
-            rec(rest[:k] + rest[k + 1 :], pairs + [(first, other)])
+            yield from rec(rest[:k] + rest[k + 1 :], pairs + [(first, other)])
 
-    rec(tuple(range(1, n + 1)), [])
-    return tuple(out)
+    yield from rec(tuple(range(1, n + 1)), [])
+
+
+@lru_cache(maxsize=None)
+def _all_involutions(n: int) -> tuple:
+    return tuple(_involutions(n))
 
 
 def list_involutions(n: int) -> List[Involution]:
     """All involutions of {1..n}, identity included, duplicate-free."""
-    if not (1 <= n <= N_CAP):
-        raise NTooLarge(f"need 1 <= n <= {N_CAP}, got {n}")
     return list(_all_involutions(n))
 
 
 @lru_cache(maxsize=None)
 def _pair_tally(n: int) -> tuple:
     """counts[p] = number of involutions of {1..n} with p pairs, tallied in
-    one pass over the enumeration."""
+    one pass over the enumeration without holding it."""
     counts = [0] * (n // 2 + 1)
-    for s in list_involutions(n):
+    for s in _involutions(n):
         counts[len(s.pairs)] += 1
     return tuple(counts)
 

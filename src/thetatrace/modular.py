@@ -216,16 +216,15 @@ def _vector_table(
     L: EvenLattice,
     alpha: UnimodularMatrix,
     points: Sequence[TracePoint],
-    im_floor: float,
-    rtol: float,
 ):
-    """(lhs, rhs) sample matrices: rows are points, columns are cosets."""
+    """(lhs, rhs) sample matrices: rows are points, columns are cosets,
+    evaluated with the word floor and tail target."""
     lhs = []
     rhs = []
     for pt in points:
         moved = TracePoint(pt.a, pt.b, alpha.act_tau(pt.tau))
-        lhs.append(z_vector(L, moved, im_floor, rtol))
-        rhs.append(z_vector(L, alpha.act_point(pt), im_floor, rtol))
+        lhs.append(z_vector(L, moved, WORD_FLOOR, WORD_RTOL))
+        rhs.append(z_vector(L, alpha.act_point(pt), WORD_FLOOR, WORD_RTOL))
     return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
 
 
@@ -233,8 +232,6 @@ def fit_transition(
     L: EvenLattice,
     alpha: UnimodularMatrix,
     samples: Sequence[TracePoint],
-    im_floor: float = WORD_FLOOR,
-    rtol: float = WORD_RTOL,
 ) -> TransitionMatrix:
     """Least-squares recovery of the transition matrix from sample triples.
 
@@ -245,7 +242,7 @@ def fit_transition(
     m = len(L.cosets)
     if len(samples) < 2 * m:
         raise ValueError(f"need at least {2 * m} samples, got {len(samples)}")
-    lhs, rhs = _vector_table(L, alpha, samples, im_floor, rtol)
+    lhs, rhs = _vector_table(L, alpha, samples)
     cond = np.linalg.cond(rhs)
     if not np.isfinite(cond) or cond > COND_CAP:
         raise IllConditioned(f"sample matrix condition number {cond:.3e}")
@@ -260,11 +257,9 @@ def verify_relation(
     alpha: UnimodularMatrix,
     holdout: Sequence[TracePoint],
     fitted: TransitionMatrix,
-    im_floor: float = WORD_FLOOR,
-    rtol: float = WORD_RTOL,
 ) -> dict:
     """Max residual of the transition relation on held-out points."""
-    lhs, rhs = _vector_table(L, alpha, holdout, im_floor, rtol)
+    lhs, rhs = _vector_table(L, alpha, holdout)
     a = fitted.as_array()
     err = float(np.max(np.abs(lhs - rhs @ a.T))) if len(holdout) else 0.0
     return {

@@ -57,11 +57,6 @@ def q_power(tau: complex, exponent) -> complex:
     return cmath.exp(TWO_PI_I * tau * float(exponent))
 
 
-def _min_or_none(*vals):
-    finite = [v for v in vals if v is not None]
-    return min(finite) if finite else None
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Laurent series in q^(1/denom), trusted through guaranteed_order.
@@ -89,10 +84,6 @@ class TruncatedSeries:
     def min_exp(self) -> Optional[int]:
         return min(self.coeffs) if self.coeffs else None
 
-    @property
-    def max_exp(self) -> Optional[int]:
-        return max(self.coeffs) if self.coeffs else None
-
     def coefficient(self, exponent) -> complex:
         """Coefficient at a rational exponent (in q-units, not key units)."""
         key = Fraction(exponent) * self.denom
@@ -100,17 +91,9 @@ class TruncatedSeries:
             return 0j
         return self.coeffs.get(int(key), 0j)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @classmethod
     def constant(cls, value) -> "TruncatedSeries":
         return cls(1, {0: complex(value)})
-
-    @classmethod
-    def monomial(cls, exponent: Fraction, value=1.0) -> "TruncatedSeries":
-        exponent = Fraction(exponent)
-        return cls(exponent.denominator, {exponent.numerator: complex(value)})
 
     # -- denominator lifting -----------------------------------------
 
@@ -133,7 +116,10 @@ class TruncatedSeries:
         if isinstance(other, (int, float, complex)):
             other = TruncatedSeries.constant(other)
         a, b = self._aligned(other)
-        g = _min_or_none(a.guaranteed_order, b.guaranteed_order)
+        g = min(
+            (o for o in (a.guaranteed_order, b.guaranteed_order) if o is not None),
+            default=None,
+        )
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
             out[k] = out.get(k, 0j) + v
@@ -227,10 +213,6 @@ class TruncatedSeries:
             if acc != 0:
                 inv[-k0 + e] = -acc / c0
         return TruncatedSeries(self.denom, inv, -k0 + order)
-
-    def truncate(self, guaranteed_order: int) -> "TruncatedSeries":
-        g = _min_or_none(self.guaranteed_order, guaranteed_order)
-        return TruncatedSeries(self.denom, self.coeffs, g)
 
     # -- evaluation ---------------------------------------------------
 

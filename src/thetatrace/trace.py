@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import PredictionMismatch, TailBoundViolated
 from .lattice import EvenLattice
-from .qseries import IM_TAU_FLOOR, TWO_PI_I, eta_eval, require_im
+from .qseries import IM_TAU_FLOOR, TWO_PI_I, BiSeries, eta_eval, require_im
 
 # <a(-1)1, b(-1)1> = PAIRING_SIGN * <a, b>_lattice for weight-one elements.
 PAIRING_SIGN = -1
@@ -196,46 +196,46 @@ def colored_partition_counts(colors: int, n_max: int) -> list:
 
 def moment_series(
     L: EvenLattice, beta: Sequence, weights: Sequence[Sequence], q_order: int
-) -> dict:
-    """{<m,m>/2 : sum_m prod_w <w, m>} over L+beta through q^q_order.
+) -> BiSeries:
+    """sum_m prod_w <w, m> q^{<m,m>/2} over L+beta, an x-exact BiSeries
+    trusted through q^q_order.
 
     weights is a (possibly empty) list of complex vectors; the empty product
-    makes this the plain coset theta series.
+    makes this the plain coset theta series.  The q-denominator is the lcm
+    of the half-norm denominators.
     """
     beta = tuple(Fraction(x) for x in beta)
-    out: dict = {}
-    for m in L.enumerate_vectors(beta, q_order):
+    pts = L.enumerate_vectors(beta, q_order)
+    halves = [Fraction(L.norm2(m)) / 2 for m in pts]
+    den = math.lcm(*(h.denominator for h in halves))
+    coeffs: dict = {}
+    for m, half in zip(pts, halves):
         mf = [float(x) for x in m]
         val = 1.0 + 0j
         for wv in weights:
             val *= complex(L.inner(wv, mf))
-        key = Fraction(L.norm2(m)) / 2
-        out[key] = out.get(key, 0j) + val
-    return {k: v for k, v in out.items() if v != 0}
+        key = (0, int(half * den))
+        coeffs[key] = coeffs.get(key, 0j) + val
+    return BiSeries(0, 0, q_order * den, coeffs, den, x_exact=True)
 
 
 def graded_trace_series(
     L: EvenLattice, beta: Sequence, q_order: int, weights: Sequence[Sequence] = ()
-) -> dict:
-    """q-expansion {exponent: coefficient} of
-    tr_{W_beta} [prod_w w(0)] q^{L(0) - d/24} through lattice grade q_order.
+) -> BiSeries:
+    """q-expansion of tr_{W_beta} [prod_w w(0)] q^{L(0) - d/24} through
+    lattice grade q_order, as an x-exact BiSeries.
 
     Zero modes are constant on oscillator towers, so the trace factors into
-    the weighted coset sum times the colored-partition generating function,
-    with the global -d/24 exponent shift.
+    the weighted coset sum times eta^-d = q^{-d/24} prod (1-q^n)^-d.  Half
+    norms are >= 0, so the product is trusted through q^{q_order - d/24}.
     """
     d = L.dim
-    lattice_part = moment_series(L, beta, weights, q_order)
     osc = colored_partition_counts(d, q_order)
-    shift = Fraction(d, 24)
-    out: dict = {}
-    for norm_half, val in lattice_part.items():
-        n = 0
-        while norm_half + n <= q_order:
-            key = norm_half + n - shift
-            out[key] = out.get(key, 0j) + val * osc[n]
-            n += 1
-    return out
+    eta_inv = BiSeries(
+        0, 0, 24 * q_order - d, {(0, 24 * n - d): c for n, c in enumerate(osc)}, 24,
+        x_exact=True,
+    )
+    return moment_series(L, beta, weights, q_order) * eta_inv
 
 
 def insertion_counts_by_grade(

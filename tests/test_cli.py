@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from thetatrace import cli, modular
-from thetatrace.lattice import EvenLattice
+from thetatrace import cli, fock, involutions, modular
+from thetatrace.lattice import EvenLattice, load_lattice
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 LATTICE_DIR = REPO_DIR / "lattices"
@@ -102,6 +102,29 @@ def test_main_theorem_fits_each_alpha_once(monkeypatch):
     # holdout-t, holdout-s and the five random words
     assert len(holdouts) == 7
     assert holdouts[:2] == [modular.T, modular.S]
+
+
+def test_npoint_builds_each_fock_basis_once():
+    fock.build_basis.cache_clear()
+    L = load_lattice(str(LATTICE_DIR / "a2.json"))
+    cfg = cli.RunConfig(lattice=L, lattice_label="a2", tight=True, seed=0)
+    assert cli.run_suite("npoint", cfg)["overall"] == "pass"
+    # three recursion checks and two censuses over three cosets, three bases
+    info = fock.build_basis.cache_info()
+    assert (info.misses, info.hits) == (3, 9)
+
+
+def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):
+    involutions._pair_tally.cache_clear()
+    held = []
+    enumerate_n = involutions._all_involutions
+    monkeypatch.setattr(
+        involutions, "_all_involutions", lambda n: held.append(n) or enumerate_n(n)
+    )
+    L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
+    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, tight=True, seed=0)
+    assert cli.run_suite("combinatorics", cfg)["overall"] == "pass"
+    assert held and max(held) <= 8
 
 
 def test_verify_jobs_agree_with_serial(capsys):

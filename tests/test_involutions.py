@@ -89,9 +89,9 @@ def test_count_with_fixed_n6():
 def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
     involutions._pair_tally.cache_clear()
     seen = []
-    enumerate_n = involutions.list_involutions
+    enumerate_n = involutions._involutions
     monkeypatch.setattr(
-        involutions, "list_involutions", lambda n: seen.append(n) or enumerate_n(n)
+        involutions, "_involutions", lambda n: seen.append(n) or enumerate_n(n)
     )
     counts = [count_with_fixed(10, r) for r in range(0, 11, 2)]
     assert counts == [closed_form_fixed_count((10 - r) // 2, r) for r in range(0, 11, 2)]

@@ -187,21 +187,27 @@ def test_colored_partition_counts_convolution():
         assert two[n] == sum(one[k] * one[n - k] for k in range(n + 1))
 
 
+def _by_exponent(series):
+    """{q exponent: coefficient} of an x-independent BiSeries."""
+    assert all(j == 0 for (j, _) in series.coeffs)
+    return {Fraction(m, series.q_denom): v for (_, m), v in series.coeffs.items()}
+
+
 def test_moment_series_no_weights_is_theta():
     got = moment_series(L4, (0,), (), 8)
-    assert got == {Fraction(0): 1 + 0j, Fraction(2): 2 + 0j, Fraction(8): 2 + 0j}
+    assert _by_exponent(got) == {Fraction(0): 1 + 0j, Fraction(2): 2 + 0j, Fraction(8): 2 + 0j}
 
 
 def test_moment_series_odd_moment_cancels():
-    assert moment_series(L4, (0,), ((1.0,),), 10) == {}
+    assert moment_series(L4, (0,), ((1.0,),), 10).coeffs == {}
 
 
 def test_moment_series_second_moment_hand_value():
     got = moment_series(L4, (0,), ((1.0,), (1.0,)), 8)
     # m = +-k contributes <w,m>^2 = (4k)^2 each at exponent 2k^2
-    assert got.keys() == {Fraction(2), Fraction(8)}
-    assert abs(got[Fraction(2)] - 32) < 1e-12
-    assert abs(got[Fraction(8)] - 128) < 1e-12
+    assert _by_exponent(got).keys() == {Fraction(2), Fraction(8)}
+    assert abs(got.coefficient(0, 2) - 32) < 1e-12
+    assert abs(got.coefficient(0, 8) - 128) < 1e-12
 
 
 def test_graded_trace_series_zero_mode_free():
@@ -211,7 +217,14 @@ def test_graded_trace_series_zero_mode_free():
     # vacuum tower plus the two norm-2 vectors' towers
     for n in range(5):
         want = osc[n] + (2 * osc[n - 2] if n >= 2 else 0)
-        assert abs(got[n - shift] - want) < 1e-12
+        assert abs(got.coefficient(0, n - shift) - want) < 1e-12
+
+
+def test_graded_trace_series_trusted_through_q_order_every_coset():
+    # half norms are >= 0, so the eta^-2 factor's horizon q^(6 - 1/12) binds
+    for beta in A2.cosets:
+        got = graded_trace_series(A2, beta, 6)
+        assert got.q_order == (6 - Fraction(1, 12)) * got.q_denom
 
 
 def test_insertion_counts_by_grade_matches_series():
@@ -221,4 +234,4 @@ def test_insertion_counts_by_grade_matches_series():
     shift = Fraction(1, 24)
     for grade, by_point in census.items():
         total = sum(by_point.values())
-        assert abs(series[grade - shift] - total) < 1e-12
+        assert abs(series.coefficient(0, grade - shift) - total) < 1e-12
