@@ -214,18 +214,19 @@ def check_theta_shift_table(cfg: RunConfig) -> float:
 
 
 def check_involution_recurrence(cfg: RunConfig) -> float:
+    n_cap = involutions.N_CAP
     t = [1, 1]  # counts for n = 0, 1
-    for n in range(2, 13):
+    for n in range(2, n_cap + 1):
         t.append(t[-1] + (n - 1) * t[-2])
     ok = all(
         sum(involutions.count_with_fixed(n, r) for r in range(n % 2, n + 1, 2)) == t[n]
-        for n in range(1, 13)
+        for n in range(1, n_cap + 1)
     )
     return 0.0 if ok else 1.0
 
 
 def check_fixed_counts(cfg: RunConfig) -> float:
-    for n in range(1, 13):
+    for n in range(1, involutions.N_CAP + 1):
         for r in range(n % 2, n + 1, 2):
             p = (n - r) // 2
             if involutions.count_with_fixed(n, r) != involutions.closed_form_fixed_count(p, r):

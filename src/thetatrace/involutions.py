@@ -62,22 +62,29 @@ class Involution:
         return tuple(img)
 
 
-def _involutions(n: int) -> Iterator[Involution]:
-    """Every involution of {1..n}, identity first, each built and validated
-    as it is yielded."""
+def _pairings(n: int) -> Iterator[tuple]:
+    """The 2-cycles of every involution of {1..n}, identity first, each as a
+    sorted tuple of pairs (i, j) with i < j."""
     if not (1 <= n <= N_CAP):
         raise NTooLarge(f"need 1 <= n <= {N_CAP}, got {n}")
 
-    def rec(avail: Tuple[int, ...], pairs):
+    def rec(avail: Tuple[int, ...], pairs: tuple):
         if not avail:
-            yield Involution(n, tuple(pairs))
+            yield pairs
             return
         first, rest = avail[0], avail[1:]
         yield from rec(rest, pairs)  # fix first
         for k, other in enumerate(rest):
-            yield from rec(rest[:k] + rest[k + 1 :], pairs + [(first, other)])
+            yield from rec(rest[:k] + rest[k + 1 :], pairs + ((first, other),))
 
-    yield from rec(tuple(range(1, n + 1)), [])
+    yield from rec(tuple(range(1, n + 1)), ())
+
+
+def _involutions(n: int) -> Iterator[Involution]:
+    """Every involution of {1..n} in the order of _pairings, each built and
+    validated as it is yielded."""
+    for pairs in _pairings(n):
+        yield Involution(n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -93,10 +100,10 @@ def list_involutions(n: int) -> List[Involution]:
 @lru_cache(maxsize=None)
 def _pair_tally(n: int) -> tuple:
     """counts[p] = number of involutions of {1..n} with p pairs, tallied in
-    one pass over the enumeration without holding it."""
+    one pass over the enumeration without building an Involution."""
     counts = [0] * (n // 2 + 1)
-    for s in _involutions(n):
-        counts[len(s.pairs)] += 1
+    for pairs in _pairings(n):
+        counts[len(pairs)] += 1
     return tuple(counts)
 
 

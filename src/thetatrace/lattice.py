@@ -23,6 +23,7 @@ from .errors import (
     NotEven,
     NotPositiveDefinite,
     NotSymmetric,
+    ThetaTraceError,
 )
 from .qseries import TruncatedSeries
 
@@ -172,12 +173,22 @@ class EvenLattice:
         val = Fraction(1)
         for p in diag:
             val *= p
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ThetaTraceError(f"determinant {val} of an integer Gram matrix is not an integer")
         return int(val)
 
     @cached_property
-    def _completion(self):
-        return _ldl(self.gram)
+    def _scaled_completion(self):
+        """The LDL split cleared of denominators: (Ld, Dd, c, q) with
+        c[i][j] = low[j][i] * Ld for j > i and q[i] = diag[i] * Dd, where Ld
+        and Dd are the lcms of the denominators of low and diag."""
+        diag, low = _ldl(self.gram)
+        d = self.dim
+        ld = math.lcm(*(low[j][i].denominator for i in range(d) for j in range(i + 1, d)))
+        dd = math.lcm(*(x.denominator for x in diag))
+        c = [[int(low[j][i] * ld) for j in range(d)] for i in range(d)]
+        q = [int(x * dd) for x in diag]
+        return ld, dd, c, q
 
     def inner(self, x: Sequence, y: Sequence):
         """Bilinear form <x, y> in basis coordinates (no conjugation)."""
@@ -217,7 +228,10 @@ class EvenLattice:
             beta = tuple(Fraction(b) % 1 for b in beta)
             reps.add(beta)
         expected = abs(self.det)
-        assert len(reps) == expected, (len(reps), expected)
+        if len(reps) != expected:
+            raise ThetaTraceError(
+                f"found {len(reps)} coset representatives, expected |det| = {expected}"
+            )
         return tuple(sorted(reps))
 
     def coset_norm_half(self, beta: Sequence[Fraction]) -> Fraction:
@@ -238,33 +252,46 @@ class EvenLattice:
         Recursion over the completed-squares form: with <x,x> =
         sum_i q_i (x_i + sum_{j>i} c_ij x_j)^2 the last coordinate is boxed
         first, and each prefix prunes by its exact residual budget.
+
+        The recursion runs in integers.  With x = n + shift, P the lcm of
+        the shift denominators and M = P * Ld, each x_j is carried as
+        X_j = x_j P, the completed center t as T = t M, and the budget as
+        budget * K with K = M^2 * Dd * den(bound), so every prune is one
+        exact integer comparison.
         """
-        diag, low = self._completion
+        ld, dd, c_scaled, q_scaled = self._scaled_completion
         d = self.dim
-        shift = [Fraction(beta[i]) - Fraction(center[i]) for i in range(d)]
+        beta = [Fraction(b) for b in beta]
+        shift = [beta[i] - Fraction(center[i]) for i in range(d)]
         bound = Fraction(norm_bound)
         if bound < 0:
             return []
-        # c_ij = low[j][i] for j > i
+        p = math.lcm(*(s.denominator for s in shift))
+        m = p * ld
+        m2 = m * m
+        sp = [int(s * p) for s in shift]  # shift * P
+        sm = [v * ld for v in sp]  # shift * M
+        q = [v * bound.denominator for v in q_scaled]  # q_i K / M^2
         out = []
         count = 0
-        x = [Fraction(0)] * d
+        xs = [0] * d  # X_j = x_j P
+        point = [None] * d  # m_j = beta_j + n_j
 
-        def descend(level: int, budget: Fraction):
+        def descend(level: int, budget: int):
             nonlocal count
-            if level < 0:
-                out.append(tuple(x[i] + Fraction(center[i]) for i in range(d)))
-                return
-            t = shift[level] + sum(
-                low[j][level] * x[j] for j in range(level + 1, d)
-            )
-            # q_level (n + t)^2 <= budget
-            half_width = math.sqrt(float(budget / diag[level])) if budget > 0 else 0.0
-            t_f = float(t)
+            row = c_scaled[level]
+            t = sm[level] + sum(row[j] * xs[j] for j in range(level + 1, d))
+            q_level = q[level]
+            # q_level (n + t)^2 <= budget; the float box is exactly the one of
+            # the rational budget / q_level and t, since int / int rounds
+            # correctly
+            half_width = math.sqrt(budget / (q_level * m2)) if budget > 0 else 0.0
+            t_f = t / m
             lo = math.ceil(-t_f - half_width - 1e-9) - 1
             hi = math.floor(-t_f + half_width + 1e-9) + 1
             for n in range(lo, hi + 1):
-                val = diag[level] * (n + t) ** 2
+                r = n * m + t
+                val = q_level * r * r
                 if val > budget:
                     continue
                 count += 1
@@ -272,11 +299,14 @@ class EvenLattice:
                     raise BoundTooLarge(
                         f"enumeration visited more than {cap} candidates"
                     )
-                x[level] = n + shift[level]
-                descend(level - 1, budget - val)
-            x[level] = Fraction(0)
+                point[level] = beta[level] + n
+                if level:
+                    xs[level] = n * p + sp[level]
+                    descend(level - 1, budget - val)
+                else:
+                    out.append(tuple(point))
 
-        descend(d - 1, bound)
+        descend(d - 1, bound.numerator * m2 * dd)
         return out
 
     def enumerate_vectors(self, beta: Sequence, bound, cap: int = ENUM_CAP) -> list:

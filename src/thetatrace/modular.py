@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundTooLarge, IllConditioned
+from .errors import BoundTooLarge, IllConditioned, ThetaTraceError
 from .lattice import EvenLattice
 from .qseries import require_im
 from .trace import TracePoint, z_vector
@@ -107,7 +107,7 @@ def decompose_ST(alpha: UnimodularMatrix, token_cap: int = 10**6):
     """Write alpha as a word in S, T, T^-1 up to overall sign.
 
     Returns (tokens, sign) with word_to_matrix(tokens) == sign * alpha; the
-    reconstruction is asserted before returning.  Continued-fraction style:
+    reconstruction is checked before returning.  Continued-fraction style:
     while the lower-left entry is nonzero, strip T^k S with k = round(a/f),
     which at least halves |f|.
     """
@@ -132,7 +132,8 @@ def decompose_ST(alpha: UnimodularMatrix, token_cap: int = 10**6):
     sign = m.a
     emit_t(sign * m.b)
     check = word_to_matrix(tokens)
-    assert check == (alpha if sign == 1 else -alpha), "reconstruction failed"
+    if check != (alpha if sign == 1 else -alpha):
+        raise ThetaTraceError(f"reconstruction failed: the word gives {check}, not ±{alpha}")
     return tokens, sign
 
 

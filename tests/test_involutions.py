@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -89,13 +90,36 @@ def test_count_with_fixed_n6():
 def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
     involutions._pair_tally.cache_clear()
     seen = []
-    enumerate_n = involutions._involutions
+    enumerate_n = involutions._pairings
     monkeypatch.setattr(
-        involutions, "_involutions", lambda n: seen.append(n) or enumerate_n(n)
+        involutions, "_pairings", lambda n: seen.append(n) or enumerate_n(n)
     )
     counts = [count_with_fixed(10, r) for r in range(0, 11, 2)]
     assert counts == [closed_form_fixed_count((10 - r) // 2, r) for r in range(0, 11, 2)]
     assert seen == [10]
+
+
+def test_pair_tally_builds_no_involution(monkeypatch):
+    built = []
+
+    class CountingInvolution(Involution):
+        def __post_init__(self):
+            built.append(self.n)
+            super().__post_init__()
+
+    monkeypatch.setattr(involutions, "Involution", CountingInvolution)
+    involutions._pair_tally.cache_clear()
+    want = tuple(closed_form_fixed_count(p, 12 - 2 * p) for p in range(7))
+    assert involutions._pair_tally(12) == want
+    assert built == []
+
+
+def test_pairings_follow_involutions_and_tally_matches():
+    for n in range(1, 9):
+        listed = involutions._all_involutions(n)
+        assert list(involutions._pairings(n)) == [s.pairs for s in listed]
+        want = Counter(len(s.pairs) for s in listed)
+        assert dict(enumerate(involutions._pair_tally(n))) == want
 
 
 def test_closed_form_fixed_count_formula():

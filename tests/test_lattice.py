@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetatrace.errors import (
     BoundTooLarge,
@@ -16,6 +18,9 @@ from thetatrace.lattice import EvenLattice, load_lattice
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
 Z2SQ = EvenLattice(((2, 0), (0, 2)))
+# Cartan matrices of A3 and D4 (node 2 of D4 is the central one)
+A3 = EvenLattice(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
+D4 = EvenLattice(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +133,20 @@ def _grid(dim, span):
                 yield (a,) + rest
 
 
+def _ball_in_order(L, beta, center, bound, span=12):
+    """The brute-force ball in enumeration order: last coordinate outermost,
+    each coordinate increasing."""
+    pts = _brute_ball(L, beta, center, bound, span)
+    # no point on the edge of the grid, so the grid holds the whole ball
+    assert all(abs(m[i] - Fraction(beta[i])) < span for m in pts for i in range(L.dim))
+    return sorted(pts, key=lambda m: m[::-1])
+
+
+def _near(x):
+    # a center as _lattice_sum builds it from a float
+    return Fraction(x).limit_denominator(10**9)
+
+
 @pytest.mark.parametrize(
     "L,beta,center,bound",
     [
@@ -139,13 +158,74 @@ def _grid(dim, span):
     ],
 )
 def test_points_in_ball_matches_brute_force(L, beta, center, bound):
-    got = sorted(L.points_in_ball(beta, center, bound))
-    assert got == _brute_ball(L, beta, center, bound)
+    assert L.points_in_ball(beta, center, bound) == _ball_in_order(L, beta, center, bound)
+
+
+@pytest.mark.parametrize(
+    "L,beta,center,bound,span",
+    [
+        # a2 coset with centers and bound as _lattice_sum rounds them
+        (A2, (Fraction(1, 3), Fraction(2, 3)), (_near(0.3183), _near(-1.4142)),
+         _near(6.283185307), 12),
+        (Z2SQ, (Fraction(1, 2), Fraction(0)), (_near(0.1), _near(-0.7)), Fraction(9), 12),
+        (A3, (Fraction(0),) * 3, (Fraction(0),) * 3, Fraction(6), 5),
+        (A3, (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (_near(0.41), _near(-0.27), _near(1.3)),
+         Fraction(5), 5),
+        (D4, (Fraction(0),) * 4, (Fraction(0),) * 4, Fraction(4), 4),
+        (D4, (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2)),
+         (_near(0.2), _near(-0.35), _near(0.6), _near(0.05)), Fraction(7, 2), 4),
+    ],
+)
+def test_points_in_ball_rounded_centers_and_rank_3_4(L, beta, center, bound, span):
+    assert L.points_in_ball(beta, center, bound) == _ball_in_order(L, beta, center, bound, span)
+
+
+def test_points_in_ball_includes_points_on_the_bound():
+    # the six roots of A2 have norm exactly 2
+    zero = (Fraction(0), Fraction(0))
+    on = A2.points_in_ball(zero, zero, Fraction(2))
+    assert len(on) == 7
+    assert on == _ball_in_order(A2, zero, zero, Fraction(2))
+    assert A2.points_in_ball(zero, zero, Fraction(2) - Fraction(1, 10**9)) == [zero]
+    # off-center: m = 0 sits at squared distance exactly 4 (1/3)^2 = 4/9; an
+    # integer beta still gives Fraction coordinates
+    (m,) = L4.points_in_ball((0,), (Fraction(1, 3),), Fraction(4, 9))
+    assert m == (0,) and type(m[0]) is Fraction
+    assert L4.points_in_ball((0,), (Fraction(1, 3),), Fraction(4, 9) - Fraction(1, 10**9)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coset=st.integers(0, 2),
+    center=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    bound=st.one_of(st.integers(0, 12).map(Fraction), st.floats(0, 12).map(_near)),
+)
+def test_points_in_ball_property_a2(coset, center, bound):
+    beta = A2.cosets[coset]
+    c = tuple(_near(x) for x in center)
+    assert A2.points_in_ball(beta, c, bound) == _ball_in_order(A2, beta, c, bound)
 
 
 def test_points_in_ball_cap():
     with pytest.raises(BoundTooLarge):
         L4.points_in_ball((Fraction(0),), (Fraction(0),), Fraction(400), cap=3)
+
+
+def test_points_in_ball_cap_counts_every_accepted_candidate():
+    # rank one: one candidate per point, |n| <= 10 for 4 n^2 <= 400
+    zero1 = (Fraction(0),)
+    assert len(L4.points_in_ball(zero1, zero1, Fraction(400), cap=21)) == 21
+    with pytest.raises(BoundTooLarge):
+        L4.points_in_ball(zero1, zero1, Fraction(400), cap=20)
+    # rank two: the points plus every accepted last coordinate, boxed by the
+    # last LDL pivot 3/2
+    zero2 = (Fraction(0), Fraction(0))
+    bound = Fraction(12)
+    pts = A2.points_in_ball(zero2, zero2, bound)
+    cap = len(pts) + sum(1 for n in range(-10, 11) if Fraction(3, 2) * n * n <= bound)
+    assert A2.points_in_ball(zero2, zero2, bound, cap=cap) == pts
+    with pytest.raises(BoundTooLarge):
+        A2.points_in_ball(zero2, zero2, bound, cap=cap - 1)
 
 
 def test_enumerate_vectors_shifted_coset_tight_bound():
