@@ -57,8 +57,12 @@ Q_ORDER = 6  # q-order of the recursion checks
 class RunConfig:
     lattice: EvenLattice
     lattice_label: str
-    tight: bool  # built-in rank-one lattice gets the sharp tolerances
     seed: int = 0
+
+    @property
+    def tight(self) -> bool:
+        """The built-in rank-one lattice gets the sharp tolerances."""
+        return self.lattice.gram == DEFAULT_GRAM
 
 
 def _mats():
@@ -66,16 +70,14 @@ def _mats():
     return [("S", s), ("T", t), ("TST", t * s * t)]
 
 
-def _sample_taus(
-    seed: int, count: int, im_lo: float = 0.6, im_hi: float = 1.7, for_laws: bool = False
-):
+def _sample_taus(seed: int, count: int, im_lo: float = 0.6, for_laws: bool = False):
     """With for_laws set, a tau is redrawn until alpha.tau for every alpha of
     _mats() also clears IM_TAU_FLOOR (Im(TST.tau) = Im tau / |tau + 1|^2
     reaches 0.244 in this box); seeds that never redraw keep their samples."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(im_lo, im_hi))
+        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(im_lo, 1.7))
         if not for_laws or all(a.act_tau(tau).imag >= IM_TAU_FLOOR for _, a in _mats()):
             out.append(tau)
     return out
@@ -549,6 +551,8 @@ def _series_terms(series, exact: bool) -> list:
 
 
 def run_expand(cfg: RunConfig, what: str, order: int, coset: int) -> dict:
+    if order < 0:
+        raise ConfigError(f"--order must be a nonnegative integer, got {order}")
     if what == "eta":
         series = dedekind_eta(order)
         terms = _series_terms(series, exact=True)
@@ -581,20 +585,15 @@ def run_expand(cfg: RunConfig, what: str, order: int, coset: int) -> dict:
 
 
 def _build_config(args) -> RunConfig:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     if args.lattice:
         lat = load_lattice(args.lattice)
         label = lat.name or args.lattice
-        tight = lat.gram == DEFAULT_GRAM
     else:
         lat = EvenLattice(DEFAULT_GRAM, name=DEFAULT_LABEL)
         label = DEFAULT_LABEL
-        tight = True
-    return RunConfig(
-        lattice=lat,
-        lattice_label=label,
-        tight=tight,
-        seed=args.seed,
-    )
+    return RunConfig(lattice=lat, lattice_label=label, seed=args.seed)
 
 
 def _emit(report: dict, args) -> None:
@@ -633,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lattice", help="path to a lattice JSON file {name, gram}")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--jobs", type=int, default=1, help="accepted and ignored; checks run serially"
-    )
     common.add_argument("--out", help="write the JSON report to this path")
     common.add_argument("--human", action="store_true", help="also print a summary to stderr")
 

@@ -44,10 +44,6 @@ class TailBoundViolated(ThetaTraceError):
     requested relative tolerance within the enumeration cap."""
 
 
-class PredictionMismatch(ThetaTraceError):
-    """A closed-form phase prediction disagrees with direct evaluation."""
-
-
 class CutoffTooLarge(ThetaTraceError):
     """A series or grade cutoff exceeds the desk-scale limit."""
 

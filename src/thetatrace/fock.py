@@ -37,14 +37,15 @@ class FockState:
     """Basis state: lattice point coordinates plus sorted excitation modes.
 
     modes is a tuple of (n, direction) pairs with n >= 1, kept sorted so
-    equal multisets compare equal.
+    equal multisets compare equal.  A point tuple is kept as given, so
+    states derived from one another share it.
     """
 
     point: tuple
     modes: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "point", tuple(Fraction(x) for x in self.point))
+        object.__setattr__(self, "point", tuple(self.point))
         object.__setattr__(
             self, "modes", tuple(sorted((int(n), int(i)) for n, i in self.modes))
         )

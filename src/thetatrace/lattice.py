@@ -309,12 +309,10 @@ class EvenLattice:
         descend(d - 1, bound.numerator * m2 * dd)
         return out
 
-    def enumerate_vectors(self, beta: Sequence, bound, cap: int = ENUM_CAP) -> list:
+    def enumerate_vectors(self, beta: Sequence, bound) -> list:
         """All m in L + beta with <m, m>/2 <= bound, sorted."""
-        bound = Fraction(bound)
         zero = [Fraction(0)] * self.dim
-        pts = self.points_in_ball(beta, zero, 2 * bound, cap=cap)
-        return sorted(pts)
+        return sorted(self.points_in_ball(beta, zero, 2 * Fraction(bound)))
 
     # -- theta series ------------------------------------------------------
 

@@ -29,11 +29,14 @@ import numpy as np
 from .errors import BoundTooLarge, IllConditioned, ThetaTraceError
 from .lattice import EvenLattice
 from .qseries import require_im
-from .trace import TracePoint, z_vector
+from .trace import TracePoint, t_phase, z_vector
 
 COND_CAP = 1e10
 WORD_FLOOR = 5e-3
 WORD_RTOL = 1e-10
+TOKEN_CAP = 10**6  # most T-tokens a decomposition word may hold
+SAMPLE_SCALE = 0.2  # insertion-vector scale of the adapted samples
+N_HOLDOUT = 20  # held-out points per validated fit
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def word_to_matrix(tokens: Sequence[str]) -> UnimodularMatrix:
     return out
 
 
-def decompose_ST(alpha: UnimodularMatrix, token_cap: int = 10**6):
+def decompose_ST(alpha: UnimodularMatrix):
     """Write alpha as a word in S, T, T^-1 up to overall sign.
 
     Returns (tokens, sign) with word_to_matrix(tokens) == sign * alpha; the
@@ -114,7 +117,7 @@ def decompose_ST(alpha: UnimodularMatrix, token_cap: int = 10**6):
     tokens: List[str] = []
     s_inv = S.inverse()
     m = alpha
-    budget = token_cap
+    budget = TOKEN_CAP
 
     def emit_t(k: int):
         nonlocal budget
@@ -186,9 +189,7 @@ def sample_points(
     return out
 
 
-def adapted_samples(
-    alpha: UnimodularMatrix, dim: int, count: int, seed: int, scale: float = 0.2
-) -> List[TracePoint]:
+def adapted_samples(alpha: UnimodularMatrix, dim: int, count: int, seed: int) -> List[TracePoint]:
     """Sample points keeping both tau and alpha.tau comfortably evaluable.
 
     Im(alpha.tau) = Im tau / |f tau + d|^2 collapses when tau strays from
@@ -200,12 +201,12 @@ def adapted_samples(
     relation itself extends from real to complex vectors by analyticity.
     """
     if alpha.f == 0:
-        return sample_points(dim, count, seed, scale)
+        return sample_points(dim, count, seed, SAMPLE_SCALE)
     return sample_points(
         dim,
         count,
         seed,
-        scale / 2,
+        SAMPLE_SCALE / 2,
         re_range=(-0.15, 0.15),
         im_range=(0.3, 0.55),
         re_center=-alpha.d / alpha.f,
@@ -285,12 +286,12 @@ def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int) -> TransitionM
 
 
 def fit_and_verify(
-    L: EvenLattice, alpha: UnimodularMatrix, seed: int = 0, n_holdout: int = 20
+    L: EvenLattice, alpha: UnimodularMatrix, seed: int = 0
 ) -> Tuple[TransitionMatrix, dict]:
     """The memoized fit_alpha(L, alpha, seed), validated on a disjoint batch
-    of n_holdout points; only the holdout is computed afresh."""
+    of N_HOLDOUT points; only the holdout is computed afresh."""
     fitted = fit_alpha(L, alpha, seed)
-    hold_pts = adapted_samples(alpha, L.dim, n_holdout, seed + 10**6)
+    hold_pts = adapted_samples(alpha, L.dim, N_HOLDOUT, seed + 10**6)
     return fitted, verify_relation(L, alpha, hold_pts, fitted)
 
 
@@ -341,8 +342,6 @@ def s_matrix_prediction(L: EvenLattice) -> np.ndarray:
 
 def t_matrix_prediction(L: EvenLattice) -> np.ndarray:
     """Diagonal of phases e^(2 pi i (<b,b>/2 - d/24)) for alpha = T."""
-    from .trace import t_phase
-
     cosets = L.cosets
     out = np.zeros((len(cosets), len(cosets)), dtype=complex)
     for h, bh in enumerate(cosets):

@@ -46,6 +46,9 @@ TAIL_RTOL = 1e-19
 
 _MAX_TERMS = 200_000
 
+# weierstrass_p refuses z this close to a period lattice point.
+POLE_RADIUS = 1e-8
+
 
 def require_im(tau: complex, floor: float = IM_TAU_FLOOR) -> None:
     if tau.imag < floor:
@@ -386,11 +389,11 @@ class BiSeries:
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_order(abs_q: float, rtol: float = TAIL_RTOL) -> int:
-    """Smallest N with |q|^N below rtol (plus a fixed pad)."""
+def _adaptive_order(abs_q: float) -> int:
+    """Smallest N with |q|^N below TAIL_RTOL (plus a fixed pad)."""
     if abs_q >= 1.0:
         raise ImTooSmall("q is not inside the unit disc")
-    return max(4, math.ceil(math.log(rtol) / math.log(abs_q))) + 4
+    return max(4, math.ceil(math.log(TAIL_RTOL) / math.log(abs_q))) + 4
 
 
 def dedekind_eta(order: int) -> TruncatedSeries:
@@ -452,8 +455,8 @@ def eisenstein_g2(order: int) -> TruncatedSeries:
     return TruncatedSeries(1, coeffs, order)
 
 
-def g2_eval(tau: complex, im_floor: float = IM_TAU_FLOOR) -> complex:
-    require_im(tau, im_floor)
+def g2_eval(tau: complex) -> complex:
+    require_im(tau)
     q = q_power(tau, 1)
     aq = abs(q)
     # sigma_1(n) < n^2, so pad the plain adaptive order until n^2 |q|^n dies
@@ -469,7 +472,7 @@ def g2_eval(tau: complex, im_floor: float = IM_TAU_FLOOR) -> complex:
     return math.pi**2 / 3 - 8 * math.pi**2 * acc
 
 
-def p2_eval(z: complex, tau: complex, im_floor: float = IM_TAU_FLOOR) -> complex:
+def p2_eval(z: complex, tau: complex) -> complex:
     """The two-variable kernel at q_z = e^{2 pi i z}, q = e^{2 pi i tau}.
 
     Geometric resummation over q-shells:
@@ -480,7 +483,7 @@ def p2_eval(z: complex, tau: complex, im_floor: float = IM_TAU_FLOOR) -> complex
     which converges exactly on the annulus |q| < |q_z| < 1/|q| and is what
     the direct double sum rearranges to.
     """
-    require_im(tau, im_floor)
+    require_im(tau)
     q = q_power(tau, 1)
     qz = cmath.exp(TWO_PI_I * z)
     ratio = max(abs(q * qz), abs(q / qz))
@@ -531,24 +534,22 @@ def p2_series(x_span: int, q_order: int) -> BiSeries:
     return BiSeries(-x_span, x_span, q_order, coeffs, 1, False)
 
 
-def weierstrass_p(
-    z: complex, tau: complex, im_floor: float = IM_TAU_FLOOR, pole_radius: float = 1e-8
-) -> complex:
+def weierstrass_p(z: complex, tau: complex) -> complex:
     """Weierstrass elliptic function for the lattice Z tau + Z.
 
     Computed as P2(z, tau) - G2(tau) after reducing z into the fundamental
-    cell by periodicity; z within pole_radius of a lattice point is refused.
+    cell by periodicity; z within POLE_RADIUS of a lattice point is refused.
     """
-    require_im(tau, im_floor)
+    require_im(tau)
     m = round(z.imag / tau.imag)
     z_red = z - m * tau
     z_red -= round(z_red.real)
     dist = min(
         abs(z_red - (a * tau + b)) for a in (-1, 0, 1) for b in (-1, 0, 1)
     )
-    if dist < pole_radius:
-        raise PoleAtLatticePoint(f"z = {z} is within {pole_radius} of a lattice point")
-    return p2_eval(z_red, tau, im_floor) - g2_eval(tau, im_floor)
+    if dist < POLE_RADIUS:
+        raise PoleAtLatticePoint(f"z = {z} is within {POLE_RADIUS} of a lattice point")
+    return p2_eval(z_red, tau) - g2_eval(tau)
 
 
 _HALF = Fraction(1, 2)
@@ -562,11 +563,11 @@ def _check_char(h) -> Fraction:
     return hf
 
 
-def jacobi_theta(h, k, z: complex, tau: complex, im_floor: float = IM_TAU_FLOOR) -> complex:
+def jacobi_theta(h, k, z: complex, tau: complex) -> complex:
     """theta_{h,k}(z, tau) = sum_n exp(pi i (n+h)^2 tau + 2 pi i (n+h)(z+k))
     for half-integer characteristics h, k in {0, 1/2}."""
     hf, kf = _check_char(h), _check_char(k)
-    require_im(tau, im_floor)
+    require_im(tau)
     # Gaussian tail: |term| = exp(-pi (n+h)^2 Im tau - 2 pi (n+h) Im z)
     L = -math.log(TAIL_RTOL) + 5
     b = abs(z.imag)

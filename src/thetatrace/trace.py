@@ -26,9 +26,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import PredictionMismatch, TailBoundViolated
+from .errors import TailBoundViolated
 from .lattice import EvenLattice
 from .qseries import IM_TAU_FLOOR, TWO_PI_I, BiSeries, eta_eval, require_im
 
@@ -146,35 +146,18 @@ def theta_w(L: EvenLattice, beta: Sequence, a: Sequence, tau: complex) -> comple
     return z_trace(L, beta, point) * eta_eval(complex(tau)) ** d
 
 
-def t_phase(
-    L: EvenLattice,
-    beta: Sequence,
-    point: Optional[TracePoint] = None,
-    tol: float = 1e-10,
-) -> complex:
+def t_phase(L: EvenLattice, beta: Sequence) -> complex:
     """Diagonal phase e^{2 pi i (<beta,beta>/2 - d/24)} relating the trace at
     tau+1 to the trace at the shifted insertion pair:
 
         z_trace(W, (a, b, tau+1)) = t_phase * z_trace(W, (a+b, b, tau)).
 
     The exponent is well defined modulo 1 because the lattice is even and
-    beta is dual.  When an evaluation point is supplied, both sides are
-    computed and a disagreement beyond tol raises PredictionMismatch.
+    beta is dual.
     """
     beta = tuple(Fraction(x) for x in beta)
     frac = L.coset_norm_half(beta) - Fraction(L.dim, 24)
-    phase = cmath.exp(TWO_PI_I * float(frac % 1))
-    if point is not None:
-        lhs = z_trace(L, beta, TracePoint(point.a, point.b, point.tau + 1))
-        shifted_a = tuple(point.a[i] + point.b[i] for i in range(L.dim))
-        rhs = phase * z_trace(L, beta, TracePoint(shifted_a, point.b, point.tau))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        if abs(lhs - rhs) > tol * scale:
-            raise PredictionMismatch(
-                f"t-shift phase prediction off by {abs(lhs - rhs):.3e} "
-                f"(tolerance {tol:.1e}) at tau = {point.tau}"
-            )
-    return phase
+    return cmath.exp(TWO_PI_I * float(frac % 1))
 
 
 # ---------------------------------------------------------------------------

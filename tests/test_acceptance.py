@@ -44,12 +44,8 @@ A2 = EvenLattice(((2, -1), (-1, 2)), name="a2")
 HALF = Fraction(1, 2)
 
 
-def _cfg(L, label, tight):
-    return cli.RunConfig(lattice=L, lattice_label=label, tight=tight)
-
-
-CFG4 = _cfg(L4, "builtin-norm4", True)
-CFGA2 = _cfg(A2, "a2", False)
+CFG4 = cli.RunConfig(lattice=L4, lattice_label="builtin-norm4")
+CFGA2 = cli.RunConfig(lattice=A2, lattice_label="a2")
 
 
 def test_c01_classical_theta_inversion_table():

@@ -95,7 +95,7 @@ def test_main_theorem_fits_each_alpha_once(monkeypatch):
     monkeypatch.setattr(modular, "fit_transition", counting_fit)
     monkeypatch.setattr(modular, "verify_relation", counting_verify)
     L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
-    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, tight=True, seed=0)
+    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
     rep = cli.run_suite("main-theorem", cfg)
     assert rep["overall"] == "pass"
     assert len(fits) == len(set(fits))
@@ -107,7 +107,7 @@ def test_main_theorem_fits_each_alpha_once(monkeypatch):
 def test_npoint_builds_each_fock_basis_once():
     fock.build_basis.cache_clear()
     L = load_lattice(str(LATTICE_DIR / "a2.json"))
-    cfg = cli.RunConfig(lattice=L, lattice_label="a2", tight=True, seed=0)
+    cfg = cli.RunConfig(lattice=L, lattice_label="a2", seed=0)
     assert cli.run_suite("npoint", cfg)["overall"] == "pass"
     # three recursion checks and two censuses over three cosets, three bases
     info = fock.build_basis.cache_info()
@@ -122,18 +122,16 @@ def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):
         involutions, "_all_involutions", lambda n: held.append(n) or enumerate_n(n)
     )
     L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
-    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, tight=True, seed=0)
+    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
     assert cli.run_suite("combinatorics", cfg)["overall"] == "pass"
     assert held and max(held) <= 8
 
 
-def test_verify_jobs_agree_with_serial(capsys):
-    _, rep1 = report_of(["verify", "npoint"], capsys)
-    _, rep2 = report_of(["verify", "npoint", "--jobs", "3"], capsys)
-    strip = lambda rep: [
-        {k: v for k, v in c.items() if k != "runtime_ms"} for c in rep["checks"]
-    ]
-    assert strip(rep1) == strip(rep2)
+def test_verify_jobs_option_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "npoint", "--jobs", "3"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_verify_out_file_and_human_summary(tmp_path, capsys):
@@ -196,6 +194,20 @@ def test_fit_bad_alpha_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "special-functions", "--seed", "-5"],
+        ["fit", "--alpha", "0,-1,1,0", "--seed", "-5"],
+    ],
+)
+def test_negative_seed_exits_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err
+
+
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
@@ -251,6 +263,13 @@ def test_expand_bad_coset_exits_2(capsys):
     )
     assert code == 2
     assert "coset" in err
+
+
+def test_expand_negative_order_exits_2(capsys):
+    code, out, err = run_cli(["expand", "--what", "eta", "--order", "-2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--order" in err
 
 
 # ---------------------------------------------------------------------------

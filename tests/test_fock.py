@@ -86,6 +86,14 @@ def test_creation_then_annihilation_on_vacuum():
     assert apply_mode(L4, h, 2, FockState((0,), ((1, 0),))) == {}
 
 
+def test_mode_action_shares_the_point():
+    s = FockState((Fraction(1, 3), Fraction(2, 3)), ((1, 0), (2, 1)))
+    for n in (-2, -1, 1, 2):
+        out = apply_mode(A2, (1.0, 0.0), n, s)
+        assert out
+        assert all(new.point is s.point for new in out)
+
+
 def test_annihilation_counts_multiplicity():
     s = FockState((0,), ((2, 0), (2, 0)))
     got = apply_mode(L4, (1.0,), 2, s)

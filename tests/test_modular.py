@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thetatrace.errors import IllConditioned
+from thetatrace import modular
+from thetatrace.errors import BoundTooLarge, IllConditioned
 from thetatrace.lattice import EvenLattice
 from thetatrace.modular import (
     IDENTITY,
@@ -117,6 +120,24 @@ def test_decompose_large_entries():
         alpha = alpha * UnimodularMatrix(1, k, 0, 1) * S
     tokens, sign = decompose_ST(alpha)
     assert word_to_matrix(tokens) == (alpha if sign == 1 else -alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(["S", "T", "T^-1"]), max_size=12))
+def test_decompose_roundtrip_property(word):
+    alpha = word_to_matrix(word)
+    tokens, sign = decompose_ST(alpha)
+    assert sign in (1, -1)
+    assert word_to_matrix(tokens) == (alpha if sign == 1 else -alpha)
+
+
+def test_decompose_token_cap_refuses_before_building_a_word(monkeypatch):
+    def no_word(tokens):
+        raise AssertionError("a word was built past the token cap")
+
+    monkeypatch.setattr(modular, "word_to_matrix", no_word)
+    with pytest.raises(BoundTooLarge):
+        decompose_ST(UnimodularMatrix(1, 10**6 + 1, 0, 1))
 
 
 # ---------------------------------------------------------------------------

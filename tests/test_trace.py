@@ -158,9 +158,11 @@ def test_t_phase_checked_at_a_point(L):
         tuple(0.07 - 0.03j for _ in range(L.dim)),
         0.23 + 1.1j,
     )
+    shifted = TracePoint(tuple(x + y for x, y in zip(pt.a, pt.b)), pt.b, pt.tau)
     for beta in L.cosets:
-        # raises PredictionMismatch if the two sides disagree beyond tol
-        t_phase(L, beta, pt, tol=1e-10)
+        lhs = z_trace(L, beta, TracePoint(pt.a, pt.b, pt.tau + 1))
+        rhs = t_phase(L, beta) * z_trace(L, beta, shifted)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_t_phase_against_direct_ratio():
