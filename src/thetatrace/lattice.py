@@ -240,6 +240,72 @@ class EvenLattice:
 
     # -- enumeration -----------------------------------------------------
 
+    def _ball_offsets(
+        self,
+        beta: Sequence,
+        center: Sequence,
+        norm_bound: Fraction,
+        cap: int = ENUM_CAP,
+    ) -> list:
+        """Integer offsets n of all m = beta + n with <m - c, m - c> <=
+        norm_bound, as one list per coordinate: column i holds n_i of every
+        point, in the order of points_in_ball.
+
+        Recursion over the completed-squares form: with <x,x> =
+        sum_i q_i (x_i + sum_{j>i} c_ij x_j)^2 the last coordinate is boxed
+        first, and each prefix spends its exact residual budget.
+
+        The recursion runs in integers.  With x = n + shift, P the lcm of
+        the shift denominators and M = P * Ld, each x_j is carried as
+        X_j = x_j P, the completed center t as T = t M, and the budget as
+        budget * K with K = M^2 * Dd * den(bound).  The admissible n at a
+        level are then the integers with |n M + T| <= isqrt(budget // q),
+        an exact interval.
+        """
+        ld, dd, c_scaled, q_scaled = self._scaled_completion
+        d = self.dim
+        cols = [[] for _ in range(d)]
+        bound = Fraction(norm_bound)
+        if bound < 0:
+            return cols
+        shift = [Fraction(beta[i]) - Fraction(center[i]) for i in range(d)]
+        p = math.lcm(*(s.denominator for s in shift))
+        m = p * ld
+        sp = [int(s * p) for s in shift]  # shift * P
+        sm = [v * ld for v in sp]  # shift * M
+        q = [v * bound.denominator for v in q_scaled]  # q_i K / M^2
+        count = 0
+        xs = [0] * d  # X_j = x_j P
+        ns = [0] * d  # offsets of the current prefix
+
+        def descend(level: int, budget: int):
+            nonlocal count
+            row = c_scaled[level]
+            t = sm[level] + sum(row[j] * xs[j] for j in range(level + 1, d))
+            q_level = q[level]
+            # q_level r^2 <= budget  <=>  |r| <= isqrt(budget // q_level)
+            r_max = math.isqrt(budget // q_level)
+            lo = -((r_max + t) // m)
+            hi = (r_max - t) // m
+            if hi < lo:
+                return
+            count += hi - lo + 1
+            if count > cap:
+                raise BoundTooLarge(f"enumeration visited more than {cap} candidates")
+            if level == 0:
+                cols[0].extend(range(lo, hi + 1))
+                for j in range(1, d):
+                    cols[j].extend([ns[j]] * (hi - lo + 1))
+                return
+            for n in range(lo, hi + 1):
+                r = n * m + t
+                ns[level] = n
+                xs[level] = n * p + sp[level]
+                descend(level - 1, budget - q_level * r * r)
+
+        descend(d - 1, bound.numerator * m * m * dd)
+        return cols
+
     def points_in_ball(
         self,
         beta: Sequence,
@@ -247,67 +313,12 @@ class EvenLattice:
         norm_bound: Fraction,
         cap: int = ENUM_CAP,
     ) -> list:
-        """All m in L + beta with <m - c, m - c> <= norm_bound, exact.
-
-        Recursion over the completed-squares form: with <x,x> =
-        sum_i q_i (x_i + sum_{j>i} c_ij x_j)^2 the last coordinate is boxed
-        first, and each prefix prunes by its exact residual budget.
-
-        The recursion runs in integers.  With x = n + shift, P the lcm of
-        the shift denominators and M = P * Ld, each x_j is carried as
-        X_j = x_j P, the completed center t as T = t M, and the budget as
-        budget * K with K = M^2 * Dd * den(bound), so every prune is one
-        exact integer comparison.
+        """All m in L + beta with <m - c, m - c> <= norm_bound, exact, as
+        tuples of Fractions (see _ball_offsets for the order and the cap).
         """
-        ld, dd, c_scaled, q_scaled = self._scaled_completion
-        d = self.dim
         beta = [Fraction(b) for b in beta]
-        shift = [beta[i] - Fraction(center[i]) for i in range(d)]
-        bound = Fraction(norm_bound)
-        if bound < 0:
-            return []
-        p = math.lcm(*(s.denominator for s in shift))
-        m = p * ld
-        m2 = m * m
-        sp = [int(s * p) for s in shift]  # shift * P
-        sm = [v * ld for v in sp]  # shift * M
-        q = [v * bound.denominator for v in q_scaled]  # q_i K / M^2
-        out = []
-        count = 0
-        xs = [0] * d  # X_j = x_j P
-        point = [None] * d  # m_j = beta_j + n_j
-
-        def descend(level: int, budget: int):
-            nonlocal count
-            row = c_scaled[level]
-            t = sm[level] + sum(row[j] * xs[j] for j in range(level + 1, d))
-            q_level = q[level]
-            # q_level (n + t)^2 <= budget; the float box is exactly the one of
-            # the rational budget / q_level and t, since int / int rounds
-            # correctly
-            half_width = math.sqrt(budget / (q_level * m2)) if budget > 0 else 0.0
-            t_f = t / m
-            lo = math.ceil(-t_f - half_width - 1e-9) - 1
-            hi = math.floor(-t_f + half_width + 1e-9) + 1
-            for n in range(lo, hi + 1):
-                r = n * m + t
-                val = q_level * r * r
-                if val > budget:
-                    continue
-                count += 1
-                if count > cap:
-                    raise BoundTooLarge(
-                        f"enumeration visited more than {cap} candidates"
-                    )
-                point[level] = beta[level] + n
-                if level:
-                    xs[level] = n * p + sp[level]
-                    descend(level - 1, budget - val)
-                else:
-                    out.append(tuple(point))
-
-        descend(d - 1, bound.numerator * m2 * dd)
-        return out
+        cols = self._ball_offsets(beta, center, norm_bound, cap)
+        return list(zip(*([b + n for n in col] for b, col in zip(beta, cols))))
 
     def enumerate_vectors(self, beta: Sequence, bound) -> list:
         """All m in L + beta with <m, m>/2 <= bound, sorted."""

@@ -199,9 +199,12 @@ def adapted_samples(alpha: UnimodularMatrix, dim: int, count: int, seed: int) ->
     exp(pi |Im a|^2 / Im tau), which at small Im(alpha.tau) would swamp an
     absolute residual with double-precision cancellation noise, while the
     relation itself extends from real to complex vectors by analyticity.
+    For f = 0 the pair map (v, u) -> (d v + b u, a u) adds b Im u to Im v,
+    which for |b| > 1 brings the same growth at any Im tau, so those draws
+    are real too.
     """
     if alpha.f == 0:
-        return sample_points(dim, count, seed, SAMPLE_SCALE)
+        return sample_points(dim, count, seed, SAMPLE_SCALE, real_vectors=abs(alpha.b) > 1)
     return sample_points(
         dim,
         count,

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import TailBoundViolated
 from .lattice import EvenLattice
 from .qseries import IM_TAU_FLOOR, TWO_PI_I, BiSeries, eta_eval, require_im
@@ -70,7 +72,7 @@ def _lattice_sum(
     rtol: float,
 ) -> complex:
     """sum_{m in L+beta} e^{2 pi i <a, m+b/2>} q^{<m+b,m+b>/2} by ball
-    enumeration around the Gaussian center."""
+    enumeration around the Gaussian center, summed in one numpy pass."""
     d = L.dim
     a, b, tau = point.a, point.b, point.tau
     re_b = [x.real for x in b]
@@ -84,32 +86,39 @@ def _lattice_sum(
     margin = (math.log(1.0 / rtol) + math.log(1e4)) / (2 * math.pi)
     radius2 = Fraction(2 * margin / tau.imag).limit_denominator(10**9)
     center = [y_star[i] - re_b[i] for i in range(d)]
-    pts = L.points_in_ball(beta, [Fraction(c).limit_denominator(10**9) for c in center],
+    cols = L._ball_offsets(beta, [Fraction(c).limit_denominator(10**9) for c in center],
                            radius2)
-    if not pts:
+    count = len(cols[0])
+    if not count:
         # the ball always contains the dominant terms; an empty ball means
         # the margin geometry collapsed, which does not happen for Im tau
         # above the floor
         raise TailBoundViolated("empty enumeration ball for the trace sum")
     # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
     # cushion covering the lattice-count factor at desk scale
-    if len(pts) > 10**4:
+    if count > 10**4:
         raise TailBoundViolated(
-            f"tail cushion cannot cover {len(pts)} enumerated points"
+            f"tail cushion cannot cover {count} enumerated points"
         )
-    acc = 0j
-    try:
-        for m in pts:
-            mf = [float(x) for x in m]
-            mb = [mf[i] + b[i] for i in range(d)]
-            mb2 = [mf[i] + b[i] / 2 for i in range(d)]
-            expo = complex(L.inner(a, mb2)) + tau * complex(L.inner(mb, mb)) / 2
-            acc += cmath.exp(TWO_PI_I * expo)
-    except OverflowError as exc:
+    # exponent <a, m+b/2> + tau <m+b, m+b>/2, expanded in m so that every
+    # temporary is a (d, N) or length-N array:
+    #   tau/2 <m,m> + <a + tau b, m> + <a,b>/2 + tau <b,b>/2
+    gram = np.array(L.gram, dtype=float)
+    av = np.array(a)
+    bv = np.array(b)
+    gb = gram @ bv
+    m = np.array(cols, dtype=float)
+    m += np.array([float(x) for x in beta])[:, None]
+    with np.errstate(all="ignore"):
+        expo = (tau / 2) * ((gram @ m) * m).sum(axis=0)
+        expo += (gram @ av + tau * gb) @ m
+        expo += (av @ gb + tau * (bv @ gb)) / 2
+        acc = complex(np.exp(TWO_PI_I * expo).sum())
+    if not cmath.isfinite(acc):
         raise TailBoundViolated(
             "trace sum overflows double precision; insertion vectors are "
             "outside the desk-scale range"
-        ) from exc
+        )
     return acc
 
 
@@ -139,11 +148,11 @@ def z_vector(
 
 
 def theta_w(L: EvenLattice, beta: Sequence, a: Sequence, tau: complex) -> complex:
-    """Numerator theta function of the module: z_trace at b = 0 times eta^d,
-    i.e. sum_{m in L+beta} e^{2 pi i <a, m>} q^{<m,m>/2}."""
-    d = L.dim
-    point = TracePoint(tuple(a), (0.0,) * d, tau)
-    return z_trace(L, beta, point) * eta_eval(complex(tau)) ** d
+    """Numerator theta function of the module, z_trace at b = 0 without the
+    eta^-d factor: sum_{m in L+beta} e^{2 pi i <a, m>} q^{<m,m>/2}."""
+    point = TracePoint(tuple(a), (0.0,) * L.dim, tau)
+    require_im(point.tau)
+    return _lattice_sum(L, tuple(Fraction(x) for x in beta), point, TRACE_RTOL)
 
 
 def t_phase(L: EvenLattice, beta: Sequence) -> complex:

@@ -67,6 +67,20 @@ def test_verify_special_functions_redraws_taus_below_floor(capsys):
     assert rep["overall"] == "pass"
 
 
+def test_verify_main_theorem_a2_seed_22573_word_holdout(capsys):
+    # a random word at this seed reduces to T^-6, whose pair map (v - 6u, u)
+    # pushed |Z| to 1e15 on complex draws: max_error 115 against 1e-7
+    code, rep = report_of(
+        ["verify", "main-theorem", "--lattice", str(LATTICE_DIR / "a2.json"),
+         "--seed", "22573"],
+        capsys,
+    )
+    assert code == 0
+    (words,) = [c for c in rep["checks"] if c["name"] == "random-words-holdout"]
+    assert words["status"] == "pass"
+    assert words["max_error"] < 1e-10
+
+
 def test_verify_deterministic_modulo_runtime(capsys):
     # main-theorem runs first on a cold fit memo, then on a warm one
     modular.fit_alpha.cache_clear()

@@ -161,6 +161,16 @@ def test_adapted_samples_track_moved_tau():
         assert all(x.imag == 0 for x in pt.a + pt.b)
 
 
+def test_adapted_samples_real_for_long_translations():
+    # f = 0: (v, u) -> (d v + b u, a u) adds b Im u to Im v, so |b| > 1 draws real
+    for alpha in (word_to_matrix(["T^-1"] * 6), word_to_matrix(["T", "T"])):
+        for pt in adapted_samples(alpha, 2, 6, seed=22573):
+            assert all(x.imag == 0 for x in pt.a + pt.b)
+    for alpha in (IDENTITY, word_to_matrix(["T"])):
+        pts = adapted_samples(alpha, 2, 6, seed=22573)
+        assert any(x.imag != 0 for pt in pts for x in pt.a + pt.b)
+
+
 # ---------------------------------------------------------------------------
 # transition fitting
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from thetatrace import trace
 from thetatrace.errors import ImTooSmall, TailBoundViolated
 from thetatrace.lattice import EvenLattice
 from thetatrace.qseries import eta_eval, jacobi_theta
 from thetatrace.trace import (
+    TRACE_RTOL,
     TracePoint,
     colored_partition_counts,
     graded_trace_series,
@@ -44,6 +47,33 @@ def _grid(dim, span):
     if dim == 1:
         return [(k,) for k in range(-span, span + 1)]
     return [(k,) + rest for k in range(-span, span + 1) for rest in _grid(dim - 1, span)]
+
+
+def _literal_ball(L, beta, point, rtol):
+    """The trace sum's ball (shift, center, norm bound), written out as
+    _lattice_sum chooses it."""
+    d = L.dim
+    a, b, tau = point.a, point.b, point.tau
+    w = [tau.real * b[i].imag + a[i].imag for i in range(d)]
+    margin = (math.log(1.0 / rtol) + math.log(1e4)) / (2 * math.pi)
+    radius2 = Fraction(2 * margin / tau.imag).limit_denominator(10**9)
+    center = [Fraction(-w[i] / tau.imag - b[i].real).limit_denominator(10**9) for i in range(d)]
+    return beta, center, radius2
+
+
+def _literal_lattice_sum(L, beta, point, rtol):
+    """The trace numerator term by term over the exact ball: float points,
+    two bilinear forms and one cmath.exp per term."""
+    d = L.dim
+    a, b, tau = point.a, point.b, point.tau
+    acc = 0j
+    for m in L.points_in_ball(*_literal_ball(L, beta, point, rtol)):
+        mf = [float(x) for x in m]
+        mb = [mf[i] + b[i] for i in range(d)]
+        mb2 = [mf[i] + b[i] / 2 for i in range(d)]
+        expo = complex(L.inner(a, mb2)) + tau * complex(L.inner(mb, mb)) / 2
+        acc += cmath.exp(2j * math.pi * expo)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +115,45 @@ def test_z_trace_rejects_low_tau():
         z_trace(L4, (0,), TracePoint((0.0,), (0.0,), 0.05j))
 
 
+@pytest.mark.parametrize("L", [L4, A2])
+@pytest.mark.parametrize("im_tau", [0.006, 0.04, 0.3, 1.2])
+def test_lattice_sum_matches_term_by_term_sum(L, im_tau):
+    # the numpy kernel against the literal per-term sum over the same ball
+    d = L.dim
+    pt = TracePoint(
+        tuple(0.07 - 0.03j * (i + 1) for i in range(d)),
+        tuple(-0.11 + 0.02j * (i + 2) for i in range(d)),
+        complex(0.17, im_tau),
+    )
+    for beta in L.cosets:
+        lhs = trace._lattice_sum(L, beta, pt, TRACE_RTOL)
+        rhs = _literal_lattice_sum(L, beta, pt, TRACE_RTOL)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+        # the kernel's integer offsets are the exact ball, in order
+        ball = _literal_ball(L, beta, pt, TRACE_RTOL)
+        cols = L._ball_offsets(*ball)
+        assert list(zip(*([b + n for n in col] for b, col in zip(beta, cols)))) == (
+            L.points_in_ball(*ball)
+        )
+
+
 def test_z_trace_overflow_guard():
-    # absurd imaginary insertion makes individual terms overflow
-    with pytest.raises(TailBoundViolated):
-        z_trace(L4, (0,), TracePoint((40j,), (0.0,), 1.0j))
+    # absurd imaginary insertion makes individual terms overflow; the guard
+    # raises without letting a floating-point warning escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TailBoundViolated):
+            z_trace(L4, (0,), TracePoint((40j,), (0.0,), 1.0j))
 
 
 def test_z_trace_tail_cushion_checked_before_summing(monkeypatch):
     # at Im tau = 0.002 the a2 ball holds 11,977 points, more than the 1e4
     # cushion covers; the sum must be refused before any term is evaluated
-    def no_terms(*args):
-        raise AssertionError("a term was summed")
+    class NoTerms:
+        def __getattr__(self, name):
+            raise AssertionError("a term was summed")
 
-    monkeypatch.setattr(EvenLattice, "inner", no_terms)
+    monkeypatch.setattr(trace, "np", NoTerms())
     with pytest.raises(TailBoundViolated, match="11977 enumerated points"):
         z_trace(A2, A2.cosets[0], TracePoint((0, 0), (0, 0), 0.002j), im_floor=0.001)
 
