@@ -75,8 +75,11 @@ def _colored_multisets(budget: int, dims: int):
 
 
 @lru_cache(maxsize=None)
-def build_basis(L: EvenLattice, beta: Sequence, grade_max) -> Tuple[FockState, ...]:
-    """Every state of grade <= grade_max, sorted by (grade, point, modes).
+def build_basis(
+    L: EvenLattice, beta: Sequence, grade_max
+) -> Tuple[Tuple[Fraction, FockState], ...]:
+    """Every state of grade <= grade_max as a (grade, state) pair, sorted by
+    (grade, point, modes); each grade is computed once, here.
 
     Memoized: the census and recursion checks of one run share each basis.
     beta must be hashable (a tuple).
@@ -89,8 +92,9 @@ def build_basis(L: EvenLattice, beta: Sequence, grade_max) -> Tuple[FockState, .
     for m in L.enumerate_vectors(beta, grade_max):
         budget = grade_max - Fraction(L.norm2(m)) / 2
         for modes in _colored_multisets(int(budget), L.dim):
-            states.append(FockState(m, modes))
-    states.sort(key=lambda s: (s.grade(L), s.point, s.modes))
+            s = FockState(m, modes)
+            states.append((s.grade(L), s))
+    states.sort(key=lambda gs: (gs[0], gs[1].point, gs[1].modes))
     return tuple(states)
 
 
@@ -163,8 +167,7 @@ def diagonal_entry(
 def census_by_grade(L: EvenLattice, beta: Sequence, grade_max) -> dict:
     """{grade: {lattice point: number of states}} by literal enumeration."""
     out: dict = {}
-    for s in build_basis(L, beta, grade_max):
-        g = s.grade(L)
+    for g, s in build_basis(L, beta, grade_max):
         bucket = out.setdefault(g, {})
         bucket[s.point] = bucket.get(s.point, 0) + 1
     return out
@@ -190,13 +193,6 @@ def group_census_by_phase(L: EvenLattice, census: dict, a: Sequence) -> dict:
     return out
 
 
-def _grade_denom(L: EvenLattice, basis: Sequence[FockState]) -> int:
-    out = 24
-    for s in basis:
-        out = math.lcm(out, s.grade(L).denominator)
-    return out
-
-
 def s_function_trace(
     L: EvenLattice,
     beta: Sequence,
@@ -219,7 +215,7 @@ def s_function_trace(
         raise ValueError("only one or two insertion vectors are supported")
     beta = tuple(Fraction(x) for x in beta)
     basis = build_basis(L, beta, q_order)
-    qden = _grade_denom(L, basis)
+    qden = math.lcm(24, *(g.denominator for g, _ in basis))
     shift = Fraction(L.dim, 24)
     coeffs: dict = {}
 
@@ -231,14 +227,13 @@ def s_function_trace(
 
     if len(vectors) == 1:
         (v,) = vectors
-        for s in basis:
-            add(0, s.grade(L), diagonal_entry(L, [(v, 0)], s))
+        for g, s in basis:
+            add(0, g, diagonal_entry(L, [(v, 0)], s))
         x_lo = x_hi = 0
     else:
         v1, v2 = vectors
         x_lo, x_hi = -x_span, x_span
-        for s in basis:
-            g = s.grade(L)
+        for g, s in basis:
             for k in range(-x_span, x_span + 1):
                 add(k, g, diagonal_entry(L, [(v1, k), (v2, -k)], s))
     q_top = int((Fraction(q_order) - shift) * qden)

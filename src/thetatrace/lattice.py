@@ -3,9 +3,10 @@
 A lattice is described by an integer Gram matrix in a fixed basis; vectors
 are coordinate tuples in that basis, so a point of the coset L + beta has
 coordinates n + beta with n integral.  Everything that feeds a frozen test
-value is computed in exact rational arithmetic: positive definiteness via an
-LDL^T split over Q, coset representatives via Smith normal form, and vector
-enumeration by recursive completion of squares with an exact final filter.
+value is computed in exact rational arithmetic: positive definiteness via one
+LDL^T split over Q per lattice, coset representatives as the closure of the
+dual basis that split solves for, and vector enumeration by recursive
+completion of squares in integers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     BoundTooLarge,
@@ -30,112 +31,21 @@ from .qseries import TruncatedSeries
 ENUM_CAP = 10**7
 
 
-def _ldl(gram: Sequence[Sequence[int]]):
-    """Exact G = L D L^T for symmetric G; returns (diag, lower) with
-    diag[i] = D_ii as Fractions and lower unit lower-triangular.
-
-    Raises NotPositiveDefinite when some pivot is <= 0.
-    """
-    d = len(gram)
-    diag = [Fraction(0)] * d
-    low = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        acc = Fraction(gram[i][i])
-        for k in range(i):
-            acc -= low[i][k] * low[i][k] * diag[k]
-        if acc <= 0:
-            raise NotPositiveDefinite(
-                f"pivot {i} of the Gram matrix is {acc} after elimination"
-            )
-        diag[i] = acc
-        low[i][i] = Fraction(1)
-        for j in range(i + 1, d):
-            s = Fraction(gram[j][i])
-            for k in range(i):
-                s -= low[j][k] * low[i][k] * diag[k]
-            low[j][i] = s / acc
-    return diag, low
-
-
-def _smith_normal_form(mat: Sequence[Sequence[int]]):
-    """U A V = D with U, V unimodular and D diagonal; returns (U, D, V)."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, mult):
-        for k in range(n):
-            a[dst][k] += mult * a[src][k]
-            u[dst][k] += mult * u[src][k]
-
-    def add_col(src, dst, mult):
-        for r in a:
-            r[dst] += mult * r[src]
-        for r in v:
-            r[dst] += mult * r[src]
-
-    for t in range(n):
-        while True:
-            # move a smallest nonzero entry of the trailing block to (t, t)
-            pivot = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            done = True
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        done = False
-            if done:
-                break
-    # fix signs on the diagonal
-    for t in range(n):
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-                u[t][k] = -u[t][k]
-    return u, a, v
-
-
-def _invert_rational(mat: Sequence[Sequence[int]]):
-    """Exact inverse of an integer matrix as Fractions (Gauss-Jordan)."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _dual_basis(diag, low):
+    """The columns x_j of G^{-1} for G = L D L^T, as lists of Fractions:
+    x_j solves L D L^T x = e_j by forward substitution, division by D, and
+    back substitution."""
+    d = len(diag)
+    cols = []
+    for j in range(d):
+        y = [Fraction(int(i == j)) for i in range(d)]
+        for i in range(d):
+            y[i] -= sum(low[i][k] * y[k] for k in range(i))
+        x = [y[i] / diag[i] for i in range(d)]
+        for i in reversed(range(d)):
+            x[i] -= sum(low[k][i] * x[k] for k in range(i + 1, d))
+        cols.append(x)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -154,11 +64,11 @@ class EvenLattice:
             for j in range(d):
                 if rows[i][j] != rows[j][i]:
                     raise NotSymmetric(f"gram[{i}][{j}] != gram[{j}][{i}]")
-        _ldl(rows)  # raises NotPositiveDefinite
+        object.__setattr__(self, "gram", rows)
+        self._ldl  # raises NotPositiveDefinite
         for i in range(d):
             if rows[i][i] % 2 != 0:
                 raise NotEven(f"diagonal entry gram[{i}][{i}] = {rows[i][i]} is odd")
-        object.__setattr__(self, "gram", rows)
 
     # -- basics --------------------------------------------------------
 
@@ -167,12 +77,37 @@ class EvenLattice:
         return len(self.gram)
 
     @cached_property
+    def _ldl(self):
+        """Exact G = L D L^T; (diag, low) with diag[i] = D_ii as Fractions and
+        low unit lower-triangular.
+
+        Raises NotPositiveDefinite when some pivot is <= 0.
+        """
+        gram = self.gram
+        d = self.dim
+        diag = [Fraction(0)] * d
+        low = [[Fraction(0)] * d for _ in range(d)]
+        for i in range(d):
+            acc = Fraction(gram[i][i])
+            for k in range(i):
+                acc -= low[i][k] * low[i][k] * diag[k]
+            if acc <= 0:
+                raise NotPositiveDefinite(
+                    f"pivot {i} of the Gram matrix is {acc} after elimination"
+                )
+            diag[i] = acc
+            low[i][i] = Fraction(1)
+            for j in range(i + 1, d):
+                s = Fraction(gram[j][i])
+                for k in range(i):
+                    s -= low[j][k] * low[i][k] * diag[k]
+                low[j][i] = s / acc
+        return diag, low
+
+    @cached_property
     def det(self) -> int:
         # product of LDL pivots is exact
-        diag, _ = _ldl(self.gram)
-        val = Fraction(1)
-        for p in diag:
-            val *= p
+        val = math.prod(self._ldl[0])
         if val.denominator != 1:
             raise ThetaTraceError(f"determinant {val} of an integer Gram matrix is not an integer")
         return int(val)
@@ -182,7 +117,7 @@ class EvenLattice:
         """The LDL split cleared of denominators: (Ld, Dd, c, q) with
         c[i][j] = low[j][i] * Ld for j > i and q[i] = diag[i] * Dd, where Ld
         and Dd are the lcms of the denominators of low and diag."""
-        diag, low = _ldl(self.gram)
+        diag, low = self._ldl
         d = self.dim
         ld = math.lcm(*(low[j][i].denominator for i in range(d) for j in range(i + 1, d)))
         dd = math.lcm(*(x.denominator for x in diag))
@@ -204,29 +139,20 @@ class EvenLattice:
     def cosets(self) -> tuple:
         """Representatives of (dual lattice)/L, canonical in [0,1)^d, sorted.
 
-        y = G^{-1} k runs over the dual as k runs over Z^d, and k lands in L
-        exactly when k is in G Z^d; a transversal comes from the Smith form
-        U G V = D as k = U^{-1} r with 0 <= r_i < D_ii.
+        The dual is G^{-1} Z^d, so its columns reduced mod 1 generate the
+        quotient; the cosets are their closure under addition mod 1.
         """
-        u, dmat, _ = _smith_normal_form(self.gram)
-        uinv = _invert_rational(u)
-        ginv = _invert_rational(self.gram)
-        d = self.dim
-        reps = set()
-        counters = [range(dmat[i][i]) for i in range(d)]
-
-        def products(level, current):
-            if level == d:
-                yield tuple(current)
-                return
-            for val in counters[level]:
-                yield from products(level + 1, current + [val])
-
-        for r in products(0, []):
-            k = [sum(uinv[i][j] * r[j] for j in range(d)) for i in range(d)]
-            beta = [sum(ginv[i][j] * k[j] for j in range(d)) for i in range(d)]
-            beta = tuple(Fraction(b) % 1 for b in beta)
-            reps.add(beta)
+        gens = _dual_basis(*self._ldl)
+        zero = (Fraction(0),) * self.dim
+        reps = {zero}
+        todo = [zero]
+        while todo:
+            beta = todo.pop()
+            for g in gens:
+                nxt = tuple((b + x) % 1 for b, x in zip(beta, g))
+                if nxt not in reps:
+                    reps.add(nxt)
+                    todo.append(nxt)
         expected = abs(self.det)
         if len(reps) != expected:
             raise ThetaTraceError(
@@ -345,11 +271,13 @@ class EvenLattice:
 def load_lattice(path: str) -> EvenLattice:
     """Read a lattice description {"name": str, "gram": [[int]]} from JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise LatticeFileError(f"cannot read lattice file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise LatticeFileError(f"lattice file {path} is not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise LatticeFileError(f"lattice file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "gram" not in raw:
         raise LatticeFileError(f"lattice file {path} must be an object with a 'gram' key")
@@ -358,7 +286,7 @@ def load_lattice(path: str) -> EvenLattice:
         raise LatticeFileError(f"'gram' in {path} must be a list of integer rows")
     for row in gram:
         for x in row:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise LatticeFileError(f"'gram' in {path} contains a non-integer entry {x!r}")
     name = raw.get("name", "")
     if not isinstance(name, str):

@@ -306,6 +306,14 @@ def test_odd_lattice_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_lattice_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(["verify", "combinatorics", "--lattice", str(bad)], capsys)
+    assert code == 2
+    assert "error:" in err and "UTF-8" in err
+
+
 def test_console_script_installed(tmp_path):
     # Checks the declared console script from the checkout: the target resolves
     # to cli.main, and the wrapper pip would generate for it runs the CLI.

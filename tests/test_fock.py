@@ -45,12 +45,12 @@ def test_build_basis_dimensions_match_partition_counts():
     for L, beta in [(L4, (0,)), (A2, (Fraction(1, 3), Fraction(2, 3)))]:
         osc = colored_partition_counts(L.dim, 6)
         basis = build_basis(L, beta, 6)
-        origin_like = min(basis, key=lambda s: s.grade(L)).point
+        origin_like = min(basis, key=lambda gs: gs[0])[1].point
         base_grade = Fraction(L.norm2(origin_like)) / 2
         for n in range(7 - int(base_grade) - 1):
             got = sum(
                 1
-                for s in basis
+                for _, s in basis
                 if s.point == origin_like and s.oscillator_weight() == n
             )
             assert got == osc[n]
@@ -58,9 +58,11 @@ def test_build_basis_dimensions_match_partition_counts():
 
 def test_build_basis_sorted_and_capped():
     basis = build_basis(L4, (0,), 4)
-    grades = [s.grade(L4) for s in basis]
+    grades = [g for g, _ in basis]
+    states = [s for _, s in basis]
     assert grades == sorted(grades)
-    assert len(basis) == len(set(basis))
+    assert grades == [s.grade(L4) for s in states]
+    assert len(states) == len(set(states))
     with pytest.raises(CutoffTooLarge):
         build_basis(L4, (0,), 100)
 

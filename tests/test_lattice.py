@@ -1,9 +1,12 @@
+import itertools
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetatrace.errors import (
@@ -100,6 +103,42 @@ def test_cosets_are_dual_vectors(L):
             e = [0] * L.dim
             e[i] = 1
             assert Fraction(L.inner(beta, e)).denominator == 1
+
+
+def _brute_cosets(L):
+    """Every y in ((1/|det|) Z cap [0,1))^d with G y integral, sorted: the
+    dual lattice mod L by exhaustion, since |det| y is integral on L*."""
+    n = abs(L.det)
+    ks = np.array(list(itertools.product(range(n), repeat=L.dim)), dtype=np.int64).T
+    hits = ((np.array(L.gram, dtype=np.int64) @ ks) % n == 0).all(axis=0)
+    return tuple(sorted(tuple(Fraction(int(k), n) for k in col) for col in ks[:, hits].T))
+
+
+@pytest.mark.parametrize("L", [L4, A2, Z2SQ, A3, D4])
+def test_cosets_match_brute_force(L):
+    assert L.cosets == _brute_cosets(L)
+
+
+@st.composite
+def _even_grams(draw):
+    d = draw(st.integers(1, 3))
+    g = [[0] * d for _ in range(d)]
+    for i in range(d):
+        g[i][i] = draw(st.sampled_from([2, 4, 6, 8]))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    return tuple(map(tuple, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram=_even_grams())
+def test_cosets_match_brute_force_random_grams(gram):
+    try:
+        L = EvenLattice(gram)
+    except NotPositiveDefinite:
+        assume(False)
+    assume(L.det <= 64)
+    assert L.cosets == _brute_cosets(L)
 
 
 def test_coset_norm_half():
@@ -309,6 +348,14 @@ def test_load_lattice_bad_json(tmp_path):
         load_lattice(str(p))
 
 
+def test_load_lattice_nesting_beyond_the_recursion_limit(tmp_path):
+    # the json decoder raises RecursionError, not JSONDecodeError, here
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000)
+    with pytest.raises(LatticeFileError):
+        load_lattice(str(p))
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -318,6 +365,7 @@ def test_load_lattice_bad_json(tmp_path):
         {"name": "x"},
         {"gram": [[1]]},
         {"gram": [[2, 1], [0, 2]]},
+        {"gram": [[2, True], [True, 2]]},
     ],
 )
 def test_load_lattice_rejects_bad_payloads(tmp_path, payload):
@@ -325,3 +373,37 @@ def test_load_lattice_rejects_bad_payloads(tmp_path, payload):
     p.write_text(json.dumps(payload))
     with pytest.raises(LatticeFileError):
         load_lattice(str(p))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["gram", "name"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=16,
+)
+# objects that reach the checks past the JSON shape: a gram of small ints
+# (and stray booleans), sometimes named
+_gram_objects = st.fixed_dictionaries(
+    {"gram": st.lists(st.lists(st.integers(-3, 4) | st.booleans(), max_size=3), max_size=3)},
+    optional={"name": _json_values},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.one_of(
+        _json_values.map(lambda v: json.dumps(v).encode()),
+        _gram_objects.map(lambda v: json.dumps(v).encode()),
+        st.binary(max_size=48),
+    )
+)
+def test_load_lattice_fuzz(data):
+    # a lattice or a typed LatticeFileError; any other exception fails
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "lat.json"
+        p.write_bytes(data)
+        try:
+            L = load_lattice(str(p))
+        except LatticeFileError:
+            return
+    assert isinstance(L, EvenLattice)
