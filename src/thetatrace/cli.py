@@ -599,8 +599,11 @@ def _build_config(args) -> RunConfig:
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     if args.human:

@@ -1,11 +1,12 @@
 """Literal graded module spaces over lattice cosets.
 
-A basis state is a lattice point m in L + beta together with a multiset of
-oscillator excitations (mode n >= 1, basis direction); its L(0)-grade is
-<m,m>/2 plus the sum of the modes.  Mode operators act symbolically on
-states, so products of operators are exact on any state; no basis-matrix
-truncation enters.  Traces over all states of grade <= N are therefore exact
-through q^N.
+A basis state is a pair (point, modes): a lattice point m in L + beta and a
+sorted tuple of oscillator excitations (mode n >= 1, basis direction); its
+L(0)-grade is <m,m>/2 plus the sum of the modes.  In V_L = M(1) (x) C[L+beta]
+every h(n) with n != 0 acts on the modes alone and h(0) is the scalar <h, m>,
+so mode operators act symbolically on the modes tuple and products of
+operators are exact on any state; no basis-matrix truncation enters.  Traces
+over all states of grade <= N are therefore exact through q^N.
 
 This module is deliberately independent of the closed-form machinery in
 `trace`: it is the oracle that the closed form is checked against, and the
@@ -19,7 +20,6 @@ literal side of the two-variable trace recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -32,54 +32,26 @@ from .trace import graded_trace_series, state_pairing
 GRADE_CAP = 60
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Basis state: lattice point coordinates plus sorted excitation modes.
-
-    modes is a tuple of (n, direction) pairs with n >= 1, kept sorted so
-    equal multisets compare equal.  A point tuple is kept as given, so
-    states derived from one another share it.
-    """
-
-    point: tuple
-    modes: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", tuple(self.point))
-        object.__setattr__(
-            self, "modes", tuple(sorted((int(n), int(i)) for n, i in self.modes))
-        )
-        if any(n < 1 for n, _ in self.modes):
-            raise ValueError("excitation modes must be positive")
-
-    def oscillator_weight(self) -> int:
-        return sum(n for n, _ in self.modes)
-
-    def grade(self, L: EvenLattice) -> Fraction:
-        return Fraction(L.norm2(self.point)) / 2 + self.oscillator_weight()
-
-
 def _colored_multisets(budget: int, dims: int):
-    """All multisets of (n, dir) with total n <= budget, as sorted tuples."""
+    """All multisets of (n, dir) with total n <= budget, as ascending tuples."""
 
-    def rec(remaining: int, max_part: Tuple[int, int]):
+    def rec(remaining: int, low: Tuple[int, int]):
         yield ()
-        n_hi, i_hi = max_part
-        for n in range(min(remaining, n_hi), 0, -1):
-            dir_top = i_hi if n == n_hi else dims - 1
-            for i in range(dir_top, -1, -1):
+        n_lo, i_lo = low
+        for n in range(n_lo, remaining + 1):
+            for i in range(i_lo if n == n_lo else 0, dims):
                 for rest in rec(remaining - n, (n, i)):
                     yield ((n, i),) + rest
 
-    yield from rec(budget, (budget, dims - 1))
+    yield from rec(budget, (1, 0))
 
 
 @lru_cache(maxsize=None)
 def build_basis(
     L: EvenLattice, beta: Sequence, grade_max
-) -> Tuple[Tuple[Fraction, FockState], ...]:
-    """Every state of grade <= grade_max as a (grade, state) pair, sorted by
-    (grade, point, modes); each grade is computed once, here.
+) -> Tuple[Tuple[Fraction, tuple, tuple], ...]:
+    """Every state of grade <= grade_max as a sorted (grade, point, modes)
+    triple; each grade is computed once, here.
 
     Memoized: the census and recursion checks of one run share each basis.
     beta must be hashable (a tuple).
@@ -90,44 +62,40 @@ def build_basis(
     beta = tuple(Fraction(x) for x in beta)
     states = []
     for m in L.enumerate_vectors(beta, grade_max):
-        budget = grade_max - Fraction(L.norm2(m)) / 2
-        for modes in _colored_multisets(int(budget), L.dim):
-            s = FockState(m, modes)
-            states.append((s.grade(L), s))
-    states.sort(key=lambda gs: (gs[0], gs[1].point, gs[1].modes))
+        base = Fraction(L.norm2(m)) / 2
+        for modes in _colored_multisets(int(grade_max - base), L.dim):
+            states.append((base + sum(n for n, _ in modes), m, modes))
+    states.sort()
     return tuple(states)
 
 
-def apply_mode(
-    L: EvenLattice, h: Sequence, n: int, state: FockState
-) -> Dict[FockState, complex]:
-    """Action of the mode h(n) on a basis state, as a state -> coefficient map.
+def apply_mode(L: EvenLattice, h: Sequence, n: int, modes: tuple) -> Dict[tuple, complex]:
+    """Action of the mode h(n), n != 0, on the excitations of a state, as a
+    modes -> coefficient map.
 
-    Creation (n < 0) appends an excitation per direction with coefficient
-    h_i; annihilation (n > 0) removes one matching-mode excitation with
-    coefficient n * <h, e_j> * multiplicity; h(0) scales by <h, m>.  This
+    Creation (n < 0) adds an excitation per direction with coefficient h_i;
+    annihilation (n > 0) removes one matching-mode excitation with
+    coefficient n * <h, e_j> * multiplicity.  No such mode moves the lattice
+    point; h(0) is the scalar <h, m>, which `apply_word` applies.  This
     normalization realizes [h(m), h'(n)] = m <h, h'> delta_{m+n,0}.
     """
+    if n == 0:
+        raise ValueError("h(0) acts on the lattice point; use apply_word")
     d = L.dim
     g = L.gram
-    out: Dict[FockState, complex] = {}
-    if n == 0:
-        lam = complex(L.inner(h, [float(x) for x in state.point]))
-        if lam != 0:
-            out[state] = lam
-        return out
+    out: Dict[tuple, complex] = {}
     if n < 0:
         k = -n
         for i in range(d):
             hi = complex(h[i])
             if hi == 0:
                 continue
-            new = FockState(state.point, state.modes + ((k, i),))
+            new = tuple(sorted(modes + ((k, i),)))
             out[new] = out.get(new, 0j) + hi
         return out
     # n > 0: annihilate
     mult: Dict[int, int] = {}
-    for mode, i in state.modes:
+    for mode, i in modes:
         if mode == n:
             mult[i] = mult.get(i, 0) + 1
     for i, mu in mult.items():
@@ -135,21 +103,26 @@ def apply_mode(
         coeff = mu * n * pair
         if coeff == 0:
             continue
-        modes = list(state.modes)
-        modes.remove((n, i))
-        new = FockState(state.point, tuple(modes))
+        rest = list(modes)
+        rest.remove((n, i))
+        new = tuple(rest)
         out[new] = out.get(new, 0j) + coeff
     return out
 
 
 def apply_word(
-    L: EvenLattice, ops: Sequence[Tuple[Sequence, int]], state: FockState
-) -> Dict[FockState, complex]:
-    """Apply a product of modes ops = [(h_1, n_1), ..., (h_r, n_r)] to a
-    state, rightmost operator first, returning the expanded combination."""
-    current: Dict[FockState, complex] = {state: 1.0 + 0j}
+    L: EvenLattice, ops: Sequence[Tuple[Sequence, int]], point: tuple, modes: tuple
+) -> Dict[tuple, complex]:
+    """Apply a product of modes ops = [(h_1, n_1), ..., (h_r, n_r)] to the
+    state (point, modes), rightmost operator first, returning the expanded
+    combination as a modes -> coefficient map over the same point."""
+    current: Dict[tuple, complex] = {modes: 1.0 + 0j}
     for h, n in reversed(list(ops)):
-        nxt: Dict[FockState, complex] = {}
+        if n == 0:
+            lam = complex(L.inner(h, [float(x) for x in point]))
+            current = {s: c * lam for s, c in current.items()} if lam != 0 else {}
+            continue
+        nxt: Dict[tuple, complex] = {}
         for s, c in current.items():
             for s2, c2 in apply_mode(L, h, n, s).items():
                 nxt[s2] = nxt.get(s2, 0j) + c * c2
@@ -158,18 +131,20 @@ def apply_word(
 
 
 def diagonal_entry(
-    L: EvenLattice, ops: Sequence[Tuple[Sequence, int]], state: FockState
+    L: EvenLattice, ops: Sequence[Tuple[Sequence, int]], point: tuple, modes: tuple
 ) -> complex:
-    """Coefficient of `state` in ops applied to `state` (one trace term)."""
-    return apply_word(L, ops, state).get(state, 0j)
+    """Coefficient of the state (point, modes) in ops applied to it (one
+    trace term)."""
+    return apply_word(L, ops, point, modes).get(modes, 0j)
 
 
 def census_by_grade(L: EvenLattice, beta: Sequence, grade_max) -> dict:
     """{grade: {lattice point: number of states}} by literal enumeration."""
+    beta = tuple(Fraction(x) for x in beta)
     out: dict = {}
-    for g, s in build_basis(L, beta, grade_max):
+    for g, m, _ in build_basis(L, beta, grade_max):
         bucket = out.setdefault(g, {})
-        bucket[s.point] = bucket.get(s.point, 0) + 1
+        bucket[m] = bucket.get(m, 0) + 1
     return out
 
 
@@ -215,7 +190,7 @@ def s_function_trace(
         raise ValueError("only one or two insertion vectors are supported")
     beta = tuple(Fraction(x) for x in beta)
     basis = build_basis(L, beta, q_order)
-    qden = math.lcm(24, *(g.denominator for g, _ in basis))
+    qden = math.lcm(24, *(g.denominator for g, _, _ in basis))
     shift = Fraction(L.dim, 24)
     coeffs: dict = {}
 
@@ -227,15 +202,15 @@ def s_function_trace(
 
     if len(vectors) == 1:
         (v,) = vectors
-        for g, s in basis:
-            add(0, g, diagonal_entry(L, [(v, 0)], s))
+        for g, m, modes in basis:
+            add(0, g, diagonal_entry(L, [(v, 0)], m, modes))
         x_lo = x_hi = 0
     else:
         v1, v2 = vectors
         x_lo, x_hi = -x_span, x_span
-        for g, s in basis:
+        for g, m, modes in basis:
             for k in range(-x_span, x_span + 1):
-                add(k, g, diagonal_entry(L, [(v1, k), (v2, -k)], s))
+                add(k, g, diagonal_entry(L, [(v1, k), (v2, -k)], m, modes))
     q_top = int((Fraction(q_order) - shift) * qden)
     return BiSeries(x_lo, x_hi, q_top, coeffs, qden, x_exact=False)
 

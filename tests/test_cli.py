@@ -160,6 +160,15 @@ def test_verify_out_file_and_human_summary(tmp_path, capsys):
     assert "pass" in stderr
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.json"
+    code, stdout, stderr = run_cli(["expand", "--what", "eta", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and str(out) in stderr
+    assert not out.exists()
+
+
 def test_verify_external_lattice_file(capsys):
     code, rep = report_of(
         ["verify", "combinatorics", "--lattice", str(LATTICE_DIR / "a2.json")], capsys

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from thetatrace.errors import CutoffTooLarge
 from thetatrace.fock import (
-    FockState,
     apply_mode,
     apply_word,
     build_basis,
@@ -20,23 +20,30 @@ from thetatrace.trace import colored_partition_counts, insertion_counts_by_grade
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
 
-VAC4 = FockState((0,))
-
 
 # ---------------------------------------------------------------------------
 # states and bases
 # ---------------------------------------------------------------------------
 
 
-def test_state_normalizes_and_validates():
-    s = FockState((Fraction(1, 4),), ((2, 0), (1, 0)))
-    assert s.modes == ((1, 0), (2, 0))
-    assert s.oscillator_weight() == 3
-    assert s.grade(L4) == Fraction(1, 8) + 3
-    with pytest.raises(ValueError):
-        FockState((0,), ((0, 0),))
-    with pytest.raises(ValueError):
-        FockState((0,), ((-1, 0),))
+@pytest.mark.parametrize(
+    "L,beta", [(L4, (0,)), (L4, (Fraction(1, 4),)), (A2, (Fraction(1, 3), Fraction(2, 3)))]
+)
+def test_basis_states_are_canonical(L, beta):
+    for grade, m, modes in build_basis(L, beta, 4):
+        assert modes == tuple(sorted(modes))
+        assert all(n >= 1 and 0 <= i < L.dim for n, i in modes)
+        assert grade == Fraction(L.norm2(m)) / 2 + sum(n for n, _ in modes)
+
+
+def test_creation_returns_canonical_modes():
+    assert apply_mode(L4, (1.0,), -1, ((2, 0),)) == {((1, 0), (2, 0)): 1.0}
+    got = apply_mode(A2, (1.0, 0.5), -1, ((1, 0), (2, 1)))
+    assert got == {((1, 0), (1, 0), (2, 1)): 1.0, ((1, 0), (1, 1), (2, 1)): 0.5}
+    # one multiset reached in two orders is one key
+    a = apply_word(A2, [((0.0, 1.0), -2), ((1.0, 0.0), -1)], (0, 0), ())
+    b = apply_word(A2, [((1.0, 0.0), -1), ((0.0, 1.0), -2)], (0, 0), ())
+    assert a == b == {((1, 0), (2, 1)): 1.0}
 
 
 def test_build_basis_dimensions_match_partition_counts():
@@ -45,23 +52,23 @@ def test_build_basis_dimensions_match_partition_counts():
     for L, beta in [(L4, (0,)), (A2, (Fraction(1, 3), Fraction(2, 3)))]:
         osc = colored_partition_counts(L.dim, 6)
         basis = build_basis(L, beta, 6)
-        origin_like = min(basis, key=lambda gs: gs[0])[1].point
+        origin_like = min(basis)[1]
         base_grade = Fraction(L.norm2(origin_like)) / 2
         for n in range(7 - int(base_grade) - 1):
             got = sum(
                 1
-                for _, s in basis
-                if s.point == origin_like and s.oscillator_weight() == n
+                for _, m, modes in basis
+                if m == origin_like and sum(k for k, _ in modes) == n
             )
             assert got == osc[n]
 
 
 def test_build_basis_sorted_and_capped():
     basis = build_basis(L4, (0,), 4)
-    grades = [g for g, _ in basis]
-    states = [s for _, s in basis]
+    grades = [g for g, _, _ in basis]
+    states = [(m, modes) for _, m, modes in basis]
     assert grades == sorted(grades)
-    assert grades == [s.grade(L4) for s in states]
+    assert list(basis) == sorted(basis)
     assert len(states) == len(set(states))
     with pytest.raises(CutoffTooLarge):
         build_basis(L4, (0,), 100)
@@ -73,60 +80,78 @@ def test_build_basis_sorted_and_capped():
 
 
 def test_zero_mode_eigenvalue():
-    s = FockState((1,))
-    assert apply_mode(L4, (1.0,), 0, s) == {s: 4.0}
-    assert apply_mode(L4, (1.0,), 0, VAC4) == {}
+    h0 = [((1.0,), 0)]
+    assert apply_word(L4, h0, (1,), ()) == {(): 4.0}
+    assert diagonal_entry(L4, h0, (1,), ((2, 0),)) == 4.0
+    assert apply_word(L4, h0, (0,), ()) == {}
+    with pytest.raises(ValueError):
+        apply_mode(L4, (1.0,), 0, ())
 
 
 def test_creation_then_annihilation_on_vacuum():
     h = (1.0,)
-    up = apply_mode(L4, h, -1, VAC4)
-    assert up == {FockState((0,), ((1, 0),)): 1.0}
-    down = apply_mode(L4, h, 1, FockState((0,), ((1, 0),)))
-    assert down == {VAC4: 4.0}
+    up = apply_mode(L4, h, -1, ())
+    assert up == {((1, 0),): 1.0}
+    down = apply_mode(L4, h, 1, ((1, 0),))
+    assert down == {(): 4.0}
     # wrong mode number annihilates nothing
-    assert apply_mode(L4, h, 2, FockState((0,), ((1, 0),))) == {}
-
-
-def test_mode_action_shares_the_point():
-    s = FockState((Fraction(1, 3), Fraction(2, 3)), ((1, 0), (2, 1)))
-    for n in (-2, -1, 1, 2):
-        out = apply_mode(A2, (1.0, 0.0), n, s)
-        assert out
-        assert all(new.point is s.point for new in out)
+    assert apply_mode(L4, h, 2, ((1, 0),)) == {}
 
 
 def test_annihilation_counts_multiplicity():
-    s = FockState((0,), ((2, 0), (2, 0)))
-    got = apply_mode(L4, (1.0,), 2, s)
-    assert got == {FockState((0,), ((2, 0),)): 2 * 2 * 4.0}
+    got = apply_mode(L4, (1.0,), 2, ((2, 0), (2, 0)))
+    assert got == {((2, 0),): 2 * 2 * 4.0}
 
 
 @pytest.mark.parametrize("m,n", [(1, -1), (2, -2), (1, -2), (3, -3), (2, -1)])
 def test_heisenberg_commutator_a2(m, n):
-    """[h(m), h'(n)] = m <h,h'> delta_{m+n,0} on a populated state."""
+    """[h(m), h'(n)] = m <h,h'> delta_{m+n,0} on every state of a basis."""
     h, hp = (1.0, 0.0), (0.0, 1.0)
-    s = FockState((1, 0), ((1, 0), (2, 1)))
-    ab = apply_word(A2, [(h, m), (hp, n)], s)
-    ba = apply_word(A2, [(hp, n), (h, m)], s)
-    comm = dict(ab)
-    for k, v in ba.items():
-        comm[k] = comm.get(k, 0j) - v
-    comm = {k: v for k, v in comm.items() if abs(v) > 1e-12}
     want_scalar = m * A2.inner(h, hp) if m + n == 0 else 0
-    if want_scalar:
-        assert comm == {s: complex(want_scalar)}
-    else:
-        assert comm == {}
+    for _, point, modes in build_basis(A2, A2.cosets[1], 3):
+        ab = apply_word(A2, [(h, m), (hp, n)], point, modes)
+        ba = apply_word(A2, [(hp, n), (h, m)], point, modes)
+        comm = dict(ab)
+        for k, v in ba.items():
+            comm[k] = comm.get(k, 0j) - v
+        comm = {k: v for k, v in comm.items() if abs(v) > 1e-12}
+        if want_scalar:
+            assert comm == {modes: complex(want_scalar)}
+        else:
+            assert comm == {}
+
+
+@pytest.mark.parametrize(
+    "L,beta,h,hp",
+    [
+        (A2, A2.cosets[0], (1.0, 0.5), (0.6, -0.3)),
+        (A2, A2.cosets[1], (1.0, 0.5), (0.6, -0.3)),
+        (L4, (Fraction(1, 4),), (1.0,), (0.6,)),
+    ],
+)
+def test_paired_mode_diagonal_closed_form(L, beta, h, hp):
+    """<s| h(k) h'(-k) |s> = k <h,h'> + k sum_j mu_j(k) h'_j <h, e_j>, where
+    mu_j(k) counts the (k, j) excitations of s: h'(-k) adds one (k, j) and
+    h(k) removes it again with its raised multiplicity."""
+    gram = np.array(L.gram, dtype=float)
+    h_dot_e = np.asarray(h) @ gram
+    h_dot_hp = float(h_dot_e @ np.asarray(hp))
+    for _, point, modes in build_basis(L, beta, 4):
+        for k in range(1, 4):
+            mu = [modes.count((k, j)) for j in range(L.dim)]
+            want = k * h_dot_hp + k * sum(mu[j] * hp[j] * h_dot_e[j] for j in range(L.dim))
+            got = diagonal_entry(L, [(h, k), (hp, -k)], point, modes)
+            assert abs(got - want) <= 1e-12
 
 
 def test_apply_word_rightmost_first():
     # h(1) h(-1) acting on vacuum: create then annihilate
-    got = apply_word(L4, [((1.0,), 1), ((1.0,), -1)], VAC4)
-    assert got == {VAC4: 4.0}
-    assert diagonal_entry(L4, [((1.0,), 1), ((1.0,), -1)], VAC4) == 4.0
+    vac = (0,)
+    got = apply_word(L4, [((1.0,), 1), ((1.0,), -1)], vac, ())
+    assert got == {(): 4.0}
+    assert diagonal_entry(L4, [((1.0,), 1), ((1.0,), -1)], vac, ()) == 4.0
     # opposite order kills the vacuum
-    assert apply_word(L4, [((1.0,), -1), ((1.0,), 1)], VAC4) == {}
+    assert apply_word(L4, [((1.0,), -1), ((1.0,), 1)], vac, ()) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +167,12 @@ def test_census_matches_closed_form_norm4(beta):
 def test_census_matches_closed_form_a2():
     beta = (Fraction(1, 3), Fraction(2, 3))
     assert census_by_grade(A2, beta, 4) == insertion_counts_by_grade(A2, beta, 4)
+
+
+def test_census_accepts_a_list_beta():
+    beta = (Fraction(1, 3), Fraction(2, 3))
+    assert census_by_grade(A2, list(beta), 4) == census_by_grade(A2, beta, 4)
+    assert census_by_grade(L4, [0], 4) == insertion_counts_by_grade(L4, (0,), 4)
 
 
 def test_phase_census_grouping():
