@@ -239,7 +239,7 @@ def check_fixed_counts(cfg: RunConfig) -> float:
 def check_sign_lemma(cfg: RunConfig) -> float:
     for n in range(1, 9):
         for s in involutions.list_involutions(n):
-            if not s.is_identity and not involutions.verify_sign_lemma(s):
+            if s and not involutions.verify_sign_lemma(s):
                 return 1.0
     return 0.0
 
@@ -247,7 +247,7 @@ def check_sign_lemma(cfg: RunConfig) -> float:
 def check_decomposition_products(cfg: RunConfig) -> float:
     for n in (2, 4, 6):
         for s in involutions.list_involutions(n):
-            if s.is_identity:
+            if not s:
                 continue
             for parts in involutions.enumerate_decompositions(s):
                 if not involutions.decomposition_is_valid(s, parts):

@@ -1,8 +1,10 @@
 """Exact combinatorics of involutions in the symmetric group.
 
-Everything here is integer or rational arithmetic: enumeration of
-involutions, counts by number of fixed points, ordered decompositions into
-disjoint transpositions-products, the alternating-sign sum over those
+An involution of {1..n} is its sorted tuple of 2-cycles (i, j) with i < j;
+every other letter is fixed, and the empty tuple is the identity.
+Everything here is integer or rational arithmetic: enumeration of those
+pair tuples, counts by number of fixed points, ordered decompositions into
+disjoint fixed-point-free factors, the alternating-sign sum over those
 decompositions, and the regrouping identity that packages all of it into an
 exponential.  No floats enter this module.
 """
@@ -10,7 +12,6 @@ exponential.  No floats enter this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -21,45 +22,18 @@ from .errors import BoundTooLarge, NTooLarge, ParityMismatch
 N_CAP = 12
 
 
-@dataclass(frozen=True)
-class Involution:
-    """A self-inverse permutation of {1..n}, stored as its set of 2-cycles.
-
-    pairs is a sorted tuple of (i, j) with i < j; every element not in a
-    pair is fixed.
-    """
-
-    n: int
-    pairs: tuple = ()
-
-    def __post_init__(self):
-        norm = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "pairs", norm)
-        seen = set()
-        for i, j in norm:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"pair ({i},{j}) out of range for n={self.n}")
-            if i in seen or j in seen:
-                raise ValueError("pairs are not disjoint")
-            seen.update((i, j))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.pairs
-
-    def moved(self) -> tuple:
-        return tuple(sorted(x for p in self.pairs for x in p))
-
-    def fixed(self) -> tuple:
-        m = set(self.moved())
-        return tuple(x for x in range(1, self.n + 1) if x not in m)
-
-    def mapping(self) -> tuple:
-        """Images (sigma(1), ..., sigma(n)) as a plain permutation."""
-        img = list(range(1, self.n + 1))
-        for i, j in self.pairs:
-            img[i - 1], img[j - 1] = j, i
-        return tuple(img)
+def _sorted_pairs(pairs: Sequence) -> tuple:
+    """pairs as a sorted tuple, checked to be the 2-cycles of an involution:
+    1 <= i < j in every pair (i, j), and no letter in two pairs."""
+    out = tuple(sorted((i, j) for i, j in pairs))
+    seen = set()
+    for i, j in out:
+        if not 1 <= i < j:
+            raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
+        if i in seen or j in seen:
+            raise ValueError("pairs are not disjoint")
+        seen.update((i, j))
+    return out
 
 
 def _pairings(n: int) -> Iterator[tuple]:
@@ -80,27 +54,21 @@ def _pairings(n: int) -> Iterator[tuple]:
     yield from rec(tuple(range(1, n + 1)), ())
 
 
-def _involutions(n: int) -> Iterator[Involution]:
-    """Every involution of {1..n} in the order of _pairings, each built and
-    validated as it is yielded."""
-    for pairs in _pairings(n):
-        yield Involution(n, pairs)
-
-
 @lru_cache(maxsize=None)
 def _all_involutions(n: int) -> tuple:
-    return tuple(_involutions(n))
+    return tuple(_pairings(n))
 
 
-def list_involutions(n: int) -> List[Involution]:
-    """All involutions of {1..n}, identity included, duplicate-free."""
+def list_involutions(n: int) -> List[tuple]:
+    """The pair tuples of all involutions of {1..n}, identity first,
+    duplicate-free."""
     return list(_all_involutions(n))
 
 
 @lru_cache(maxsize=None)
 def _pair_tally(n: int) -> tuple:
     """counts[p] = number of involutions of {1..n} with p pairs, tallied in
-    one pass over the enumeration without building an Involution."""
+    one pass over the enumeration."""
     counts = [0] * (n // 2 + 1)
     for pairs in _pairings(n):
         counts[len(pairs)] += 1
@@ -130,7 +98,7 @@ def _unordered_partitions(items: Sequence):
     first, rest = items[0], items[1:]
     for part in _unordered_partitions(rest):
         for k in range(len(part)):
-            yield part[:k] + [part[k] + [first]] + part[k + 1 :]
+            yield part[:k] + [[first] + part[k]] + part[k + 1 :]
         yield part + [[first]]
 
 
@@ -138,53 +106,59 @@ def _ordered_set_partitions(items: Sequence):
     """All ordered sequences of disjoint nonempty blocks covering items.
 
     Blocks of a partition are pairwise distinct, so ordering them is a plain
-    permutation with no duplicate sequences.
+    permutation with no duplicate sequences.  Each block keeps the order of
+    items.
     """
     for part in _unordered_partitions(items):
         for perm in permutations(part):
             yield tuple(tuple(b) for b in perm)
 
 
-def enumerate_decompositions(sigma: Involution) -> List[Tuple[Involution, ...]]:
+def enumerate_decompositions(pairs: Sequence) -> List[Tuple[tuple, ...]]:
     """All ordered sequences of disjoint non-identity involutions whose
-    product is sigma; equivalently ordered set-partitions of its pair set."""
-    if sigma.is_identity:
+    product is the involution with these pairs; equivalently the ordered
+    set partitions of its pairs, each block a sorted pair tuple."""
+    pairs = _sorted_pairs(pairs)
+    if not pairs:
         raise ValueError("the identity has no nonempty decompositions")
-    if len(sigma.moved()) > N_CAP:
+    if 2 * len(pairs) > N_CAP:
         raise NTooLarge(f"moved set larger than {N_CAP}")
-    out = []
-    for blocks in _ordered_set_partitions(sigma.pairs):
-        out.append(tuple(Involution(sigma.n, b) for b in blocks))
-    return out
+    return list(_ordered_set_partitions(pairs))
 
 
-def decomposition_is_valid(sigma: Involution, parts: Sequence[Involution]) -> bool:
-    """Disjointness plus an honest permutation-composition product check."""
-    moved = [set(p.moved()) for p in parts]
-    for i in range(len(moved)):
-        for j in range(i + 1, len(moved)):
-            if moved[i] & moved[j]:
-                return False
-    if any(p.is_identity for p in parts):
+def _images(pairs: Sequence) -> dict:
+    """letter -> image for every letter the involution with these pairs moves."""
+    return {x: y for i, j in pairs for x, y in ((i, j), (j, i))}
+
+
+def decomposition_is_valid(pairs: Sequence, parts: Sequence) -> bool:
+    """Disjointness plus an honest permutation-composition product check:
+    the parts, applied last to first, must send every letter that sigma or a
+    part moves where sigma does."""
+    sigma = _images(_sorted_pairs(pairs))
+    letters = [x for part in parts for pair in part for x in pair]
+    if len(set(letters)) != len(letters) or not all(parts):
         return False
-    composite = list(range(1, sigma.n + 1))
-    for p in reversed(parts):
-        m = p.mapping()
-        composite = [m[x - 1] for x in composite]
-    return tuple(composite) == sigma.mapping()
+    factors = [_images(part) for part in reversed(parts)]
+    for x in sigma.keys() | set(letters):
+        y = x
+        for m in factors:
+            y = m.get(y, y)
+        if y != sigma.get(x, x):
+            return False
+    return True
 
 
-def verify_sign_lemma(sigma: Involution) -> bool:
+def verify_sign_lemma(pairs: Sequence) -> bool:
     """sum over ordered decompositions of (-1)^(number of parts) = (-1)^p,
-    where sigma moves 2p points.
+    where the involution has p pairs.
 
     The operator products attached to a decomposition coincide for every
-    decomposition of the same sigma (disjoint factors multiply to the same
+    decomposition of the same involution (disjoint factors multiply to the same
     total), so the operator identity reduces to this signed count.
     """
-    p = len(sigma.pairs)
-    total = sum((-1) ** len(parts) for parts in enumerate_decompositions(sigma))
-    return total == (-1) ** p
+    total = sum((-1) ** len(parts) for parts in enumerate_decompositions(pairs))
+    return total == (-1) ** len(pairs)
 
 
 def verify_multinomial_identity(p: int, r: int) -> bool:

@@ -35,6 +35,7 @@ COND_CAP = 1e10
 WORD_FLOOR = 5e-3
 WORD_RTOL = 1e-10
 TOKEN_CAP = 10**6  # most T-tokens a decomposition word may hold
+ENTRY_CAP = 10**6  # largest |entry| of alpha that adapted_samples accepts
 SAMPLE_SCALE = 0.2  # insertion-vector scale of the adapted samples
 N_HOLDOUT = 20  # held-out points per validated fit
 
@@ -203,6 +204,13 @@ def adapted_samples(alpha: UnimodularMatrix, dim: int, count: int, seed: int) ->
     which for |b| > 1 brings the same growth at any Im tau, so those draws
     are real too.
     """
+    if max(abs(alpha.a), abs(alpha.b), abs(alpha.f), abs(alpha.d)) > ENTRY_CAP:
+        # beyond this bound alpha.tau loses double precision: Im(alpha.tau)
+        # rounds to zero or below, b swamps Re tau, or an entry overflows a
+        # float
+        raise BoundTooLarge(
+            f"alpha has an entry beyond {ENTRY_CAP}; alpha.tau loses double precision"
+        )
     if alpha.f == 0:
         return sample_points(dim, count, seed, SAMPLE_SCALE, real_vectors=abs(alpha.b) > 1)
     return sample_points(

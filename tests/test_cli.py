@@ -217,6 +217,32 @@ def test_fit_bad_alpha_exits_2(capsys):
     assert "error:" in err
 
 
+def _det_one(k):
+    return f"{k},1,{k - 1},1"
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [_det_one(10**400), _det_one(10**30), f"1,{10**30},0,1"],
+    ids=["a=1e400", "a=1e30", "b=1e30"],
+)
+def test_fit_alpha_beyond_double_precision_aborts(alpha, capsys):
+    # alpha.tau overflows, leaves the upper half-plane, or drowns Re tau
+    code, out, err = run_cli(["fit", "--alpha", alpha], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification aborted: BoundTooLarge:")
+
+
+def test_fit_alpha_at_the_entry_bound(capsys):
+    code, out, err = run_cli(["fit", "--alpha", "1,0,1000000,1"], capsys)
+    assert code == 1
+    assert err.startswith("verification aborted: ImTooSmall:")
+    code, rep = report_of(["fit", "--alpha", "1,1000000,0,1"], capsys)
+    assert code == 0
+    assert rep["holdout_max_error"] < 1e-8
+
+
 @pytest.mark.parametrize(
     "args",
     [

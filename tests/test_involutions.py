@@ -1,14 +1,13 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from thetatrace import involutions
 from thetatrace.errors import BoundTooLarge, NTooLarge, ParityMismatch
 from thetatrace.involutions import (
-    Involution,
     closed_form_fixed_count,
     count_with_fixed,
     decomposition_is_valid,
@@ -20,6 +19,14 @@ from thetatrace.involutions import (
 )
 
 TELEPHONE = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]  # T(0)..T(10)
+
+
+def _images(pairs, n):
+    """(sigma(1), ..., sigma(n)) for the involution with these pairs."""
+    img = list(range(1, n + 1))
+    for i, j in pairs:
+        img[i - 1], img[j - 1] = j, i
+    return tuple(img)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +41,7 @@ def test_involution_counts_match_telephone_numbers():
 
 def test_involutions_square_to_identity():
     for sigma in list_involutions(5):
-        img = sigma.mapping()
+        img = _images(sigma, 5)
         for i in range(1, 6):
             assert img[img[i - 1] - 1] == i
 
@@ -49,21 +56,25 @@ def test_involutions_are_distinct_and_complete():
     assert len(list_involutions(6)) == brute
 
 
-def test_involution_fields():
-    sigma = Involution(5, ((1, 4), (2, 5)))
-    assert sigma.moved() == (1, 2, 4, 5)
-    assert sigma.fixed() == (3,)
-    assert not sigma.is_identity
-    assert Involution(3, ()).is_identity
+def test_listed_involutions_are_canonical():
+    for n in range(1, 9):
+        for sigma in list_involutions(n):
+            assert list(sigma) == sorted(sigma)
+            letters = [x for pair in sigma for x in pair]
+            assert all(i < j for i, j in sigma)
+            assert len(set(letters)) == len(letters)
+            assert set(letters) <= set(range(1, n + 1))
+    assert list_involutions(3)[0] == ()
 
 
 def test_involution_validation():
-    with pytest.raises(ValueError):
-        Involution(4, ((1, 1),))
-    with pytest.raises(ValueError):
-        Involution(4, ((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
-        Involution(2, ((1, 5),))
+    for bad in (((1, 1),), ((1, 2), (2, 3))):
+        with pytest.raises(ValueError):
+            enumerate_decompositions(bad)
+        with pytest.raises(ValueError):
+            verify_sign_lemma(bad)
+        with pytest.raises(ValueError):
+            decomposition_is_valid(bad, (bad,))
 
 
 def test_n_cap():
@@ -99,26 +110,11 @@ def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
     assert seen == [10]
 
 
-def test_pair_tally_builds_no_involution(monkeypatch):
-    built = []
-
-    class CountingInvolution(Involution):
-        def __post_init__(self):
-            built.append(self.n)
-            super().__post_init__()
-
-    monkeypatch.setattr(involutions, "Involution", CountingInvolution)
-    involutions._pair_tally.cache_clear()
-    want = tuple(closed_form_fixed_count(p, 12 - 2 * p) for p in range(7))
-    assert involutions._pair_tally(12) == want
-    assert built == []
-
-
 def test_pairings_follow_involutions_and_tally_matches():
     for n in range(1, 9):
-        listed = involutions._all_involutions(n)
-        assert list(involutions._pairings(n)) == [s.pairs for s in listed]
-        want = Counter(len(s.pairs) for s in listed)
+        listed = list_involutions(n)
+        assert list(involutions._pairings(n)) == listed
+        want = Counter(len(s) for s in listed)
         assert dict(enumerate(involutions._pair_tally(n))) == want
 
 
@@ -142,9 +138,8 @@ def test_counts_sum_to_telephone():
 # ---------------------------------------------------------------------------
 
 
-def _pairs_involution(p, n=None):
-    n = 2 * p if n is None else n
-    return Involution(n, tuple((2 * i + 1, 2 * i + 2) for i in range(p)))
+def _pairs_involution(p):
+    return tuple((2 * i + 1, 2 * i + 2) for i in range(p))
 
 
 def test_decomposition_counts_are_fubini():
@@ -155,34 +150,83 @@ def test_decomposition_counts_are_fubini():
 
 
 def test_decompositions_are_valid_products():
-    sigma = _pairs_involution(2, n=5)
+    sigma = _pairs_involution(2)
     decs = enumerate_decompositions(sigma)
     for parts in decs:
         assert decomposition_is_valid(sigma, parts)
         # each factor is a fixed-point-free involution on its support
         for part in parts:
-            assert not part.is_identity
+            assert part
         # supports are disjoint and cover sigma's moved letters
-        moved = sorted(x for part in parts for x in part.moved())
-        assert moved == list(sigma.moved())
+        moved = sorted(x for part in parts for pair in part for x in pair)
+        assert moved == sorted(x for pair in sigma for x in pair)
     # honest product check: compose mappings left to right
     for parts in decs:
         comp = list(range(1, 6))
         for part in reversed(parts):
-            img = part.mapping()
+            img = _images(part, 5)
             comp = [img[x - 1] for x in comp]
-        assert tuple(comp) == sigma.mapping()
+        assert tuple(comp) == _images(sigma, 5)
 
 
 def test_decomposition_validity_rejects_wrong_product():
     sigma = _pairs_involution(2)
-    other = Involution(4, ((1, 3),))
+    other = ((1, 3),)
     assert not decomposition_is_valid(sigma, (other,))
+
+
+def _labelled_decompositions(sigma):
+    """Every surjective labelling of sigma's pairs by block index 1..k, for
+    every k, read off as the blocks in label order."""
+    out = set()
+    for k in range(1, len(sigma) + 1):
+        for labels in product(range(1, k + 1), repeat=len(sigma)):
+            if set(labels) == set(range(1, k + 1)):
+                out.add(tuple(
+                    tuple(pair for pair, lab in zip(sigma, labels) if lab == b)
+                    for b in range(1, k + 1)
+                ))
+    return out
+
+
+def test_decompositions_match_labelling_oracle():
+    checked = 0
+    for n in range(2, 7):
+        for sigma in list_involutions(n):
+            if not sigma:
+                continue
+            decs = enumerate_decompositions(sigma)
+            assert len(decs) == len(set(decs))
+            assert set(decs) == _labelled_decompositions(sigma)
+            for parts in decs:
+                assert decomposition_is_valid(sigma, parts)
+            checked += len(decs)
+    assert checked > 0
+
+
+def test_decomposition_validity_rejects_bad_parts():
+    sigma = ((1, 4), (2, 5))  # fixes 3 and 6
+    # a part that also moves a letter sigma fixes
+    assert not decomposition_is_valid(sigma, (((1, 4), (3, 6)), ((2, 5),)))
+    assert not decomposition_is_valid(sigma, (((1, 4), (2, 5), (3, 6)),))
+    # two overlapping parts
+    assert not decomposition_is_valid(sigma, (((1, 4),), ((1, 4),), ((2, 5),)))
+    # (1 2)(3 4) after (1 3)(2 4) is (1 4)(2 3): the right product, from
+    # overlapping parts
+    assert not decomposition_is_valid(
+        ((1, 4), (2, 3)), (((1, 2), (3, 4)), ((1, 3), (2, 4)))
+    )
+    # an empty part
+    assert not decomposition_is_valid(sigma, (((1, 4),), (), ((2, 5),)))
+    # a missing pair
+    assert not decomposition_is_valid(sigma, (((1, 4),),))
+    assert not decomposition_is_valid(sigma, ())
+    assert decomposition_is_valid(sigma, (((2, 5),), ((1, 4),)))
 
 
 def test_identity_has_no_decomposition():
     with pytest.raises(ValueError):
-        enumerate_decompositions(Involution(3, ()))
+        enumerate_decompositions(())
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +237,7 @@ def test_identity_has_no_decomposition():
 def test_sign_lemma_exhaustive_small():
     for n in range(2, 7):
         for sigma in list_involutions(n):
-            if not sigma.is_identity:
+            if sigma:
                 assert verify_sign_lemma(sigma)
 
 
