@@ -340,8 +340,8 @@ def check_t_phase(cfg: RunConfig) -> float:
 
 
 def check_fit_t_diagonal(cfg: RunConfig) -> float:
-    fitted = modular.fit_alpha(cfg.lattice, modular.T, cfg.seed)
-    gap = np.abs(fitted.as_array() - modular.t_matrix_prediction(cfg.lattice))
+    a, _ = modular.fit_alpha(cfg.lattice, modular.T, cfg.seed)
+    gap = np.abs(a - modular.t_matrix_prediction(cfg.lattice))
     return float(np.max(gap))
 
 
@@ -351,14 +351,14 @@ def check_holdout_t(cfg: RunConfig) -> float:
 
 
 def check_fit_s_moduli(cfg: RunConfig) -> float:
-    fitted = modular.fit_alpha(cfg.lattice, modular.S, cfg.seed)
+    a, _ = modular.fit_alpha(cfg.lattice, modular.S, cfg.seed)
     target = 1.0 / math.sqrt(len(cfg.lattice.cosets))
-    return float(np.max(np.abs(np.abs(fitted.as_array()) - target)))
+    return float(np.max(np.abs(np.abs(a) - target)))
 
 
 def check_fit_s_oracle(cfg: RunConfig) -> float:
-    fitted = modular.fit_alpha(cfg.lattice, modular.S, cfg.seed)
-    gap = np.abs(fitted.as_array() - modular.s_matrix_prediction(cfg.lattice))
+    a, _ = modular.fit_alpha(cfg.lattice, modular.S, cfg.seed)
+    gap = np.abs(a - modular.s_matrix_prediction(cfg.lattice))
     return float(np.max(gap))
 
 
@@ -368,9 +368,9 @@ def check_holdout_s(cfg: RunConfig) -> float:
 
 
 def check_fit_identity(cfg: RunConfig) -> float:
-    fitted = modular.fit_alpha(cfg.lattice, modular.IDENTITY, cfg.seed)
+    a, _ = modular.fit_alpha(cfg.lattice, modular.IDENTITY, cfg.seed)
     m = len(cfg.lattice.cosets)
-    return float(np.max(np.abs(fitted.as_array() - np.eye(m))))
+    return float(np.max(np.abs(a - np.eye(m))))
 
 
 def _cocycle(cfg: RunConfig, a, b) -> float:
@@ -524,7 +524,7 @@ def _c(x: complex) -> list:
 
 
 def run_fit(cfg: RunConfig, alpha: modular.UnimodularMatrix) -> dict:
-    fitted, rep = modular.fit_and_verify(cfg.lattice, alpha, cfg.seed)
+    a, rep = modular.fit_and_verify(cfg.lattice, alpha, cfg.seed)
     return {
         "schema": 1,
         "suite": "fit",
@@ -532,8 +532,8 @@ def run_fit(cfg: RunConfig, alpha: modular.UnimodularMatrix) -> dict:
         "seed": cfg.seed,
         "alpha": [alpha.a, alpha.b, alpha.f, alpha.d],
         "cosets": [[str(x) for x in beta] for beta in cfg.lattice.cosets],
-        "matrix": [[_c(v) for v in row] for row in fitted.entries],
-        "fit_residual": fitted.fit_residual,
+        "matrix": [[_c(v) for v in row] for row in a],
+        "fit_residual": rep["fit_residual"],
         "holdout_max_error": rep["max_error"],
         "n_holdout": rep["n_points"],
     }

@@ -29,6 +29,7 @@ from .errors import (
 from .qseries import TruncatedSeries
 
 ENUM_CAP = 10**7
+COSET_CAP = 10**4  # largest |det| = |L*/L| whose cosets are listed
 
 
 def _dual_basis(diag, low):
@@ -141,7 +142,11 @@ class EvenLattice:
 
         The dual is G^{-1} Z^d, so its columns reduced mod 1 generate the
         quotient; the cosets are their closure under addition mod 1.
+        Raises BoundTooLarge when |det| exceeds COSET_CAP.
         """
+        expected = abs(self.det)
+        if expected > COSET_CAP:
+            raise BoundTooLarge(f"{expected} dual cosets exceed the cap of {COSET_CAP}")
         gens = _dual_basis(*self._ldl)
         zero = (Fraction(0),) * self.dim
         reps = {zero}
@@ -153,7 +158,6 @@ class EvenLattice:
                 if nxt not in reps:
                     reps.add(nxt)
                     todo.append(nxt)
-        expected = abs(self.det)
         if len(reps) != expected:
             raise ThetaTraceError(
                 f"found {len(reps)} coset representatives, expected |det| = {expected}"

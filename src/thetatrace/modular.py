@@ -145,22 +145,6 @@ def _t_power(k: int) -> UnimodularMatrix:
     return UnimodularMatrix(1, k, 0, 1)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Fitted coset-indexed matrix for one unimodular element."""
-
-    alpha: UnimodularMatrix
-    entries: tuple
-    fit_residual: float
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
-
-
 def sample_points(
     dim: int,
     count: int,
@@ -245,12 +229,13 @@ def fit_transition(
     L: EvenLattice,
     alpha: UnimodularMatrix,
     samples: Sequence[TracePoint],
-) -> TransitionMatrix:
+) -> Tuple[np.ndarray, float]:
     """Least-squares recovery of the transition matrix from sample triples.
 
     Solves lhs[s, h] = sum_k A[h, k] rhs[s, k] for A over all samples at
     once; the shared coefficient matrix rhs must be well conditioned or
-    IllConditioned is raised.
+    IllConditioned is raised.  Returns (A, residual): A read-only, as
+    fit_alpha shares it, and residual the largest misfit on the samples.
     """
     m = len(L.cosets)
     if len(samples) < 2 * m:
@@ -261,35 +246,37 @@ def fit_transition(
         raise IllConditioned(f"sample matrix condition number {cond:.3e}")
     x, *_ = np.linalg.lstsq(rhs, lhs, rcond=None)
     a = x.T
+    a.flags.writeable = False
     residual = float(np.max(np.abs(rhs @ x - lhs))) if len(samples) else 0.0
-    return TransitionMatrix(alpha, tuple(map(tuple, a)), residual)
+    return a, residual
 
 
 def verify_relation(
     L: EvenLattice,
     alpha: UnimodularMatrix,
     holdout: Sequence[TracePoint],
-    fitted: TransitionMatrix,
+    fitted: Tuple[np.ndarray, float],
 ) -> dict:
     """Max residual of the transition relation on held-out points."""
+    a, residual = fitted
     lhs, rhs = _vector_table(L, alpha, holdout)
-    a = fitted.as_array()
     err = float(np.max(np.abs(lhs - rhs @ a.T))) if len(holdout) else 0.0
     return {
         "max_error": err,
         "n_points": len(holdout),
-        "fit_residual": fitted.fit_residual,
+        "fit_residual": residual,
         "alpha": [alpha.a, alpha.b, alpha.f, alpha.d],
     }
 
 
 @lru_cache(maxsize=None)
-def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int) -> TransitionMatrix:
-    """A(alpha) fitted on adapted_samples(alpha, L.dim, 2m, seed), m = |L*/L|.
+def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int, /) -> Tuple[np.ndarray, float]:
+    """(A, residual) of A(alpha) fitted on adapted_samples(alpha, L.dim, 2m,
+    seed), m = |L*/L|.
 
     Memoized: the fit is a pure function of its arguments, all frozen value
     types, so the checks of one run that need the same A(alpha) share one
-    fit.  Call it positionally; lru_cache keys f(L, a, 0) and f(L, a, seed=0)
+    fit.  Positional-only, as lru_cache keys f(L, a, 0) and f(L, a, seed=0)
     apart.
     """
     samples = adapted_samples(alpha, L.dim, 2 * len(L.cosets), seed)
@@ -298,12 +285,12 @@ def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int) -> TransitionM
 
 def fit_and_verify(
     L: EvenLattice, alpha: UnimodularMatrix, seed: int = 0
-) -> Tuple[TransitionMatrix, dict]:
-    """The memoized fit_alpha(L, alpha, seed), validated on a disjoint batch
-    of N_HOLDOUT points; only the holdout is computed afresh."""
+) -> Tuple[np.ndarray, dict]:
+    """(A, report): the memoized fit_alpha(L, alpha, seed), validated on a
+    disjoint batch of N_HOLDOUT points; only the holdout is computed afresh."""
     fitted = fit_alpha(L, alpha, seed)
     hold_pts = adapted_samples(alpha, L.dim, N_HOLDOUT, seed + 10**6)
-    return fitted, verify_relation(L, alpha, hold_pts, fitted)
+    return fitted[0], verify_relation(L, alpha, hold_pts, fitted)
 
 
 def verify_cocycle(
@@ -312,13 +299,13 @@ def verify_cocycle(
     """Fit A(alpha), A(beta), A(alpha beta) independently, at seeds seed,
     seed + 1 and seed + 2 through the fit_alpha memo, and report
     ||A(alpha beta) - A(alpha) A(beta)||_max.  No holdout is evaluated."""
-    fa = fit_alpha(L, alpha, seed)
-    fb = fit_alpha(L, beta, seed + 1)
-    fab = fit_alpha(L, alpha * beta, seed + 2)
-    gap = np.max(np.abs(fab.as_array() - fa.as_array() @ fb.as_array()))
+    a, ra = fit_alpha(L, alpha, seed)
+    b, rb = fit_alpha(L, beta, seed + 1)
+    ab, rab = fit_alpha(L, alpha * beta, seed + 2)
+    gap = np.max(np.abs(ab - a @ b))
     return {
         "max_error": float(gap),
-        "residuals": [fa.fit_residual, fb.fit_residual, fab.fit_residual],
+        "residuals": [ra, rb, rab],
         "alpha": [alpha.a, alpha.b, alpha.f, alpha.d],
         "beta": [beta.a, beta.b, beta.f, beta.d],
     }

@@ -84,15 +84,17 @@ def _lattice_sum(
     w = [tau.real * im_b[i] + im_a[i] for i in range(d)]
     y_star = [-wi / tau.imag for wi in w]
     margin = (math.log(1.0 / rtol) + math.log(1e4)) / (2 * math.pi)
-    radius2 = Fraction(2 * margin / tau.imag).limit_denominator(10**9)
+    # the floats are exact binary fractions, so this is the exact ball
     center = [y_star[i] - re_b[i] for i in range(d)]
-    cols = L._ball_offsets(beta, [Fraction(c).limit_denominator(10**9) for c in center],
-                           radius2)
+    cols = L._ball_offsets(beta, center, 2 * margin / tau.imag)
     count = len(cols[0])
     if not count:
-        # the ball always contains the dominant terms; an empty ball means
-        # the margin geometry collapsed, which does not happen for Im tau
-        # above the floor
+        # the ball holds every term within exp(-2 pi margin) of the
+        # Gaussian's peak, but its radius does not grow with the lattice:
+        # when no point of L + beta lies that near the center, the ball is
+        # empty and no relative tail is certified; `verify main-theorem`
+        # meets this above the Im tau floor on Gram [[60]] and [[100]], and
+        # in the S fits on [[10,1],[1,10]]
         raise TailBoundViolated("empty enumeration ball for the trace sum")
     # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
     # cushion covering the lattice-count factor at desk scale

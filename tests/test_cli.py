@@ -234,6 +234,15 @@ def test_fit_alpha_beyond_double_precision_aborts(alpha, capsys):
     assert err.startswith("verification aborted: BoundTooLarge:")
 
 
+def test_fit_on_a_huge_discriminant_aborts(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "gram": [[2 * 10**12]]}))
+    code, out, err = run_cli(["fit", "--alpha", "0,-1,1,0", "--lattice", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification aborted: BoundTooLarge:")
+
+
 def test_fit_alpha_at_the_entry_bound(capsys):
     code, out, err = run_cli(["fit", "--alpha", "1,0,1000000,1"], capsys)
     assert code == 1

@@ -16,6 +16,7 @@ from thetatrace.errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
+from thetatrace import lattice
 from thetatrace.lattice import EvenLattice, load_lattice
 
 L4 = EvenLattice(((4,),))
@@ -141,6 +142,20 @@ def test_cosets_match_brute_force_random_grams(gram):
     assert L.cosets == _brute_cosets(L)
 
 
+def test_cosets_refuse_a_huge_discriminant():
+    # the closure would list 2e12 cosets; the cap refuses before it starts
+    huge = EvenLattice(((2 * 10**12,),))
+    with pytest.raises(BoundTooLarge):
+        huge.cosets
+
+
+def test_coset_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(lattice, "COSET_CAP", 3)
+    assert len(EvenLattice(A2.gram).cosets) == 3
+    with pytest.raises(BoundTooLarge):
+        EvenLattice(L4.gram).cosets
+
+
 def test_coset_norm_half():
     assert L4.coset_norm_half((Fraction(1, 4),)) == Fraction(1, 8)
     assert L4.coset_norm_half((Fraction(1, 2),)) == Fraction(1, 2)
@@ -182,8 +197,8 @@ def _ball_in_order(L, beta, center, bound, span=12):
 
 
 def _near(x):
-    # a center as _lattice_sum builds it from a float
-    return Fraction(x).limit_denominator(10**9)
+    # a center as _lattice_sum passes it: the exact value of a float
+    return Fraction(x)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +218,7 @@ def test_points_in_ball_matches_brute_force(L, beta, center, bound):
 @pytest.mark.parametrize(
     "L,beta,center,bound,span",
     [
-        # a2 coset with centers and bound as _lattice_sum rounds them
+        # a2 coset with float centers and bound, as _lattice_sum passes them
         (A2, (Fraction(1, 3), Fraction(2, 3)), (_near(0.3183), _near(-1.4142)),
          _near(6.283185307), 12),
         (Z2SQ, (Fraction(1, 2), Fraction(0)), (_near(0.1), _near(-0.7)), Fraction(9), 12),

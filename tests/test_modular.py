@@ -17,6 +17,7 @@ from thetatrace.modular import (
     UnimodularMatrix,
     adapted_samples,
     decompose_ST,
+    fit_alpha,
     fit_and_verify,
     fit_transition,
     random_words,
@@ -177,10 +178,10 @@ def test_adapted_samples_real_for_long_translations():
 
 
 def test_fit_identity_is_identity_matrix():
-    fitted = fit_transition(L4, IDENTITY, sample_points(1, 8, seed=0))
-    gap = np.max(np.abs(fitted.as_array() - np.eye(4)))
+    a, residual = fit_transition(L4, IDENTITY, sample_points(1, 8, seed=0))
+    gap = np.max(np.abs(a - np.eye(4)))
     assert gap < 1e-10
-    assert fitted.fit_residual < 1e-12
+    assert residual < 1e-12
 
 
 def test_fit_requires_enough_samples():
@@ -195,32 +196,33 @@ def test_fit_rejects_degenerate_samples():
 
 
 def test_fitted_s_matches_gauss_sum_norm4():
-    fitted, rep = fit_and_verify(L4, S, seed=0)
-    gap = np.max(np.abs(fitted.as_array() - s_matrix_prediction(L4)))
+    a, rep = fit_and_verify(L4, S, seed=0)
+    gap = np.max(np.abs(a - s_matrix_prediction(L4)))
     assert gap < 1e-10
     assert rep["max_error"] < 1e-10
     assert rep["n_points"] == 20
 
 
 def test_fitted_t_is_diagonal_of_phases():
-    fitted, rep = fit_and_verify(L4, T, seed=1)
-    gap = np.max(np.abs(fitted.as_array() - t_matrix_prediction(L4)))
+    a, rep = fit_and_verify(L4, T, seed=1)
+    gap = np.max(np.abs(a - t_matrix_prediction(L4)))
     assert gap < 1e-10
-    diag = np.diag(fitted.as_array())
+    diag = np.diag(a)
     for beta, lam in zip(L4.cosets, diag):
         assert abs(lam - t_phase(L4, beta)) < 1e-10
 
 
 def test_fitted_s_matches_gauss_sum_a2():
-    fitted, _ = fit_and_verify(A2, S, seed=2)
-    gap = np.max(np.abs(fitted.as_array() - s_matrix_prediction(A2)))
+    a, _ = fit_and_verify(A2, S, seed=2)
+    gap = np.max(np.abs(a - s_matrix_prediction(A2)))
     assert gap < 1e-9
 
 
 def test_verify_relation_reports_shape():
-    fitted, _ = fit_and_verify(L4, S, seed=0)
+    fitted = fit_alpha(L4, S, 0)
     rep = verify_relation(L4, S, adapted_samples(S, 1, 5, seed=99), fitted)
     assert set(rep) == {"max_error", "n_points", "fit_residual", "alpha"}
+    assert rep["fit_residual"] == fitted[1]
     assert rep["n_points"] == 5
     assert rep["alpha"] == [0, -1, 1, 0]
 
@@ -238,8 +240,28 @@ def test_word_transition_matches_generator_product():
     assert rep["max_error"] < 1e-9
     fit_t, _ = fit_and_verify(L4, T, seed=8)
     fit_s, _ = fit_and_verify(L4, S, seed=9)
-    prod = fit_t.as_array() @ fit_s.as_array() @ fit_t.as_array()
-    assert np.max(np.abs(fit_word.as_array() - prod)) < 1e-9
+    prod = fit_t @ fit_s @ fit_t
+    assert np.max(np.abs(fit_word - prod)) < 1e-9
+
+
+def test_fitted_matrix_is_read_only():
+    # fit_alpha shares one matrix between callers, so no caller may write it
+    a, _ = fit_transition(L4, S, adapted_samples(S, 1, 8, seed=0))
+    assert a.shape == (4, 4) and a.dtype == complex
+    with pytest.raises(ValueError):
+        a[0, 0] = 0
+    shared, _ = fit_and_verify(L4, S, seed=0)
+    with pytest.raises(ValueError):
+        shared += 1
+
+
+def test_fit_alpha_memo_is_shared_and_positional():
+    first = fit_alpha(A2, T, 3)
+    assert fit_alpha(A2, T, 3) is first
+    assert fit_and_verify(A2, T, seed=3)[0] is first[0]
+    # a keyword call would be memoized under a key of its own
+    with pytest.raises(TypeError):
+        fit_alpha(L4, S, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,13 @@ def _grid(dim, span):
 
 def _literal_ball(L, beta, point, rtol):
     """The trace sum's ball (shift, center, norm bound), written out as
-    _lattice_sum chooses it."""
+    _lattice_sum chooses it: the exact rationals of its floats."""
     d = L.dim
     a, b, tau = point.a, point.b, point.tau
     w = [tau.real * b[i].imag + a[i].imag for i in range(d)]
     margin = (math.log(1.0 / rtol) + math.log(1e4)) / (2 * math.pi)
-    radius2 = Fraction(2 * margin / tau.imag).limit_denominator(10**9)
-    center = [Fraction(-w[i] / tau.imag - b[i].real).limit_denominator(10**9) for i in range(d)]
+    radius2 = Fraction(2 * margin / tau.imag)
+    center = [Fraction(-w[i] / tau.imag - b[i].real) for i in range(d)]
     return beta, center, radius2
 
 
@@ -135,6 +135,19 @@ def test_lattice_sum_matches_term_by_term_sum(L, im_tau):
         assert list(zip(*([b + n for n in col] for b, col in zip(beta, cols)))) == (
             L.points_in_ball(*ball)
         )
+
+
+def test_z_trace_ball_is_not_rounded(monkeypatch):
+    # the ball is the exact one at the float center and radius, so no
+    # rational approximation of them is taken
+    pt = TracePoint((0.1 + 0.03j, -0.07j), (0.15, 0.08 - 0.04j), -0.22 + 0.95j)
+    want = [z_trace(A2, beta, pt) for beta in A2.cosets]
+
+    def refuse(self, max_denominator=10**6):
+        raise AssertionError("limit_denominator called")
+
+    monkeypatch.setattr(Fraction, "limit_denominator", refuse)
+    assert [z_trace(A2, beta, pt) for beta in A2.cosets] == want
 
 
 def test_z_trace_overflow_guard():
