@@ -117,9 +117,10 @@ def check_g2_at_i(cfg: RunConfig) -> float:
 
 def check_g2_law(cfg: RunConfig) -> float:
     worst = 0.0
+    taus = _sample_taus(cfg.seed + 4, 8, for_laws=True)
     for _, alpha in _mats():
         f, d = alpha.f, alpha.d
-        for tau in _sample_taus(cfg.seed + 4, 8, for_laws=True):
+        for tau in taus:
             j = f * tau + d
             lhs = g2_eval(alpha.act_tau(tau))
             rhs = j * j * g2_eval(tau) - 2j * cmath.pi * f * j
@@ -135,9 +136,10 @@ def _p2_full(z: complex, tau: complex) -> complex:
 def check_weierstrass_law(cfg: RunConfig) -> float:
     rng = np.random.default_rng(cfg.seed + 5)
     worst = 0.0
+    taus = _sample_taus(cfg.seed + 6, 6, for_laws=True)
     for _, alpha in _mats():
         f, d = alpha.f, alpha.d
-        for tau in _sample_taus(cfg.seed + 6, 6, for_laws=True):
+        for tau in taus:
             z = rng.uniform(0.12, 0.88) + rng.uniform(-0.4, 0.4) * tau
             j = f * tau + d
             lhs = weierstrass_p(z / j, alpha.act_tau(tau))
@@ -148,9 +150,10 @@ def check_weierstrass_law(cfg: RunConfig) -> float:
 def check_p2_law(cfg: RunConfig) -> float:
     rng = np.random.default_rng(cfg.seed + 7)
     worst = 0.0
+    taus = _sample_taus(cfg.seed + 8, 6, for_laws=True)
     for _, alpha in _mats():
         f, d = alpha.f, alpha.d
-        for tau in _sample_taus(cfg.seed + 8, 6, for_laws=True):
+        for tau in taus:
             z = rng.uniform(0.12, 0.88) + rng.uniform(-0.4, 0.4) * tau
             j = f * tau + d
             lhs = _p2_full(z / j, alpha.act_tau(tau))

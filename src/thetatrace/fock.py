@@ -51,7 +51,8 @@ def build_basis(
     L: EvenLattice, beta: Sequence, grade_max
 ) -> Tuple[Tuple[Fraction, tuple, tuple], ...]:
     """Every state of grade <= grade_max as a sorted (grade, point, modes)
-    triple; each grade is computed once, here.
+    triple: the point's exact half-norm from enumerate_vectors plus the sum
+    of the modes, computed once, here.
 
     Memoized: the census and recursion checks of one run share each basis.
     beta must be hashable (a tuple).
@@ -59,10 +60,8 @@ def build_basis(
     grade_max = Fraction(grade_max)
     if grade_max > GRADE_CAP:
         raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
-    beta = tuple(Fraction(x) for x in beta)
     states = []
-    for m in L.enumerate_vectors(beta, grade_max):
-        base = Fraction(L.norm2(m)) / 2
+    for m, base in L.enumerate_vectors(beta, grade_max):
         for modes in _colored_multisets(int(grade_max - base), L.dim):
             states.append((base + sum(n for n, _ in modes), m, modes))
     states.sort()
@@ -184,35 +183,30 @@ def s_function_trace(
 
     Every trace is a finite exact sum over the grade <= q_order basis, so
     coefficients are trusted through lattice grade q_order in q and the full
-    |k| <= x_span window in x.
+    |k| <= x_span window in x.  One pass over the basis takes each state's
+    q-exponent once and applies every word of the x window to it.
     """
     if len(vectors) not in (1, 2):
         raise ValueError("only one or two insertion vectors are supported")
+    if len(vectors) == 1:
+        x_span = 0  # tr v(0) q^{L(0)-d/24} does not depend on x
+        words = [(0, [(vectors[0], 0)])]
+    else:
+        v1, v2 = vectors
+        words = [(k, [(v1, k), (v2, -k)]) for k in range(-x_span, x_span + 1)]
     beta = tuple(Fraction(x) for x in beta)
     basis = build_basis(L, beta, q_order)
     qden = math.lcm(24, *(g.denominator for g, _, _ in basis))
     shift = Fraction(L.dim, 24)
     coeffs: dict = {}
-
-    def add(k: int, grade: Fraction, val: complex):
-        if val == 0:
-            return
-        key = (k, int((grade - shift) * qden))
-        coeffs[key] = coeffs.get(key, 0j) + val
-
-    if len(vectors) == 1:
-        (v,) = vectors
-        for g, m, modes in basis:
-            add(0, g, diagonal_entry(L, [(v, 0)], m, modes))
-        x_lo = x_hi = 0
-    else:
-        v1, v2 = vectors
-        x_lo, x_hi = -x_span, x_span
-        for g, m, modes in basis:
-            for k in range(-x_span, x_span + 1):
-                add(k, g, diagonal_entry(L, [(v1, k), (v2, -k)], m, modes))
+    for g, m, modes in basis:
+        q_key = int((g - shift) * qden)
+        for k, word in words:
+            val = diagonal_entry(L, word, m, modes)
+            if val:
+                coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
     q_top = int((Fraction(q_order) - shift) * qden)
-    return BiSeries(x_lo, x_hi, q_top, coeffs, qden, x_exact=False)
+    return BiSeries(-x_span, x_span, q_top, coeffs, qden, x_exact=False)
 
 
 def verify_trace_recursion(

@@ -58,6 +58,8 @@ class EvenLattice:
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.gram)
+        if rows != tuple(map(tuple, self.gram)):
+            raise ValueError("Gram matrix entries must be integers")
         d = len(rows)
         if d == 0 or any(len(r) != d for r in rows):
             raise ValueError("Gram matrix must be square and nonempty")
@@ -170,16 +172,12 @@ class EvenLattice:
 
     # -- enumeration -----------------------------------------------------
 
-    def _ball_offsets(
-        self,
-        beta: Sequence,
-        center: Sequence,
-        norm_bound: Fraction,
-        cap: int = ENUM_CAP,
-    ) -> list:
+    def _ball_offsets(self, beta: Sequence, center: Sequence, norm_bound: Fraction) -> list:
         """Integer offsets n of all m = beta + n with <m - c, m - c> <=
         norm_bound, as one list per coordinate: column i holds n_i of every
-        point, in the order of points_in_ball.
+        point, in the order of points_in_ball.  Raises ValueError unless beta
+        and center have dim coordinates, and BoundTooLarge once more than
+        ENUM_CAP candidates are accepted.
 
         Recursion over the completed-squares form: with <x,x> =
         sum_i q_i (x_i + sum_{j>i} c_ij x_j)^2 the last coordinate is boxed
@@ -192,8 +190,12 @@ class EvenLattice:
         level are then the integers with |n M + T| <= isqrt(budget // q),
         an exact interval.
         """
-        ld, dd, c_scaled, q_scaled = self._scaled_completion
         d = self.dim
+        if len(beta) != d or len(center) != d:
+            raise ValueError(
+                f"coset and center need {d} coordinates, got {len(beta)} and {len(center)}"
+            )
+        ld, dd, c_scaled, q_scaled = self._scaled_completion
         cols = [[] for _ in range(d)]
         bound = Fraction(norm_bound)
         if bound < 0:
@@ -220,8 +222,8 @@ class EvenLattice:
             if hi < lo:
                 return
             count += hi - lo + 1
-            if count > cap:
-                raise BoundTooLarge(f"enumeration visited more than {cap} candidates")
+            if count > ENUM_CAP:
+                raise BoundTooLarge(f"enumeration visited more than {ENUM_CAP} candidates")
             if level == 0:
                 cols[0].extend(range(lo, hi + 1))
                 for j in range(1, d):
@@ -236,38 +238,33 @@ class EvenLattice:
         descend(d - 1, bound.numerator * m * m * dd)
         return cols
 
-    def points_in_ball(
-        self,
-        beta: Sequence,
-        center: Sequence,
-        norm_bound: Fraction,
-        cap: int = ENUM_CAP,
-    ) -> list:
+    def points_in_ball(self, beta: Sequence, center: Sequence, norm_bound: Fraction) -> list:
         """All m in L + beta with <m - c, m - c> <= norm_bound, exact, as
-        tuples of Fractions (see _ball_offsets for the order and the cap).
+        tuples of Fractions (see _ball_offsets for the order and the errors).
         """
         beta = [Fraction(b) for b in beta]
-        cols = self._ball_offsets(beta, center, norm_bound, cap)
+        cols = self._ball_offsets(beta, center, norm_bound)
         return list(zip(*([b + n for n in col] for b, col in zip(beta, cols))))
 
     def enumerate_vectors(self, beta: Sequence, bound) -> list:
-        """All m in L + beta with <m, m>/2 <= bound, sorted."""
+        """Every m in L + beta with <m, m>/2 <= bound, as (m, <m, m>/2) pairs
+        sorted by m; the half-norm is an exact Fraction.  This is the one
+        place that grades the coset points of the exact series."""
         zero = [Fraction(0)] * self.dim
-        return sorted(self.points_in_ball(beta, zero, 2 * Fraction(bound)))
+        pts = self.points_in_ball(beta, zero, 2 * Fraction(bound))
+        return sorted((m, self.norm2(m) / 2) for m in pts)
 
     # -- theta series ------------------------------------------------------
 
     def theta_series(self, beta: Sequence, q_order: int) -> TruncatedSeries:
         """sum_{m in L+beta} q^{<m,m>/2} with exact integer coefficients,
-        trusted through q^q_order."""
-        pts = self.enumerate_vectors(beta, q_order)
-        norms = [Fraction(self.norm2(m)) / 2 for m in pts]
-        denom = 1
-        for nm in norms:
-            denom = math.lcm(denom, nm.denominator)
+        trusted through q^q_order; the grades are enumerate_vectors'
+        half-norms, over the lcm of their denominators."""
+        pairs = self.enumerate_vectors(beta, q_order)
+        denom = math.lcm(*(h.denominator for _, h in pairs))
         coeffs: dict = {}
-        for nm in norms:
-            key = int(nm * denom)
+        for _, h in pairs:
+            key = int(h * denom)
             coeffs[key] = coeffs.get(key, 0) + 1
         return TruncatedSeries(denom, coeffs, q_order * denom)
 

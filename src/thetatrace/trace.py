@@ -74,6 +74,8 @@ def _lattice_sum(
     """sum_{m in L+beta} e^{2 pi i <a, m+b/2>} q^{<m+b,m+b>/2} by ball
     enumeration around the Gaussian center, summed in one numpy pass."""
     d = L.dim
+    if len(point.a) != d:
+        raise ValueError(f"insertion vectors need {d} coordinates, got {len(point.a)}")
     a, b, tau = point.a, point.b, point.tau
     re_b = [x.real for x in b]
     im_b = [x.imag for x in b]
@@ -195,15 +197,14 @@ def moment_series(
     trusted through q^q_order.
 
     weights is a (possibly empty) list of complex vectors; the empty product
-    makes this the plain coset theta series.  The q-denominator is the lcm
-    of the half-norm denominators.
+    makes this the plain coset theta series.  The grades are the exact
+    half-norms of enumerate_vectors, and the q-denominator is the lcm of
+    their denominators; terms are summed in the pairs' (sorted) order.
     """
-    beta = tuple(Fraction(x) for x in beta)
-    pts = L.enumerate_vectors(beta, q_order)
-    halves = [Fraction(L.norm2(m)) / 2 for m in pts]
-    den = math.lcm(*(h.denominator for h in halves))
+    pairs = L.enumerate_vectors(beta, q_order)
+    den = math.lcm(*(h.denominator for _, h in pairs))
     coeffs: dict = {}
-    for m, half in zip(pts, halves):
+    for m, half in pairs:
         mf = [float(x) for x in m]
         val = 1.0 + 0j
         for wv in weights:
@@ -241,15 +242,9 @@ def insertion_counts_by_grade(
     The count over m at grade g is the colored-partition number of
     g - <m,m>/2.  This is the exact-integer side of the Fock cross-check.
     """
-    beta = tuple(Fraction(x) for x in beta)
     osc = colored_partition_counts(L.dim, grade_max)
-    pts = L.enumerate_vectors(beta, grade_max)
     out: dict = {}
-    for m in pts:
-        nh = Fraction(L.norm2(m)) / 2
-        n = 0
-        while nh + n <= grade_max:
-            grade = nh + n
-            out.setdefault(grade, {})[m] = osc[n]
-            n += 1
+    for m, half in L.enumerate_vectors(beta, grade_max):
+        for n in range(int(grade_max - half) + 1):
+            out.setdefault(half + n, {})[m] = osc[n]
     return out

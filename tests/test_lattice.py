@@ -32,6 +32,16 @@ D4 = EvenLattice(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("entry", [2.5, Fraction(9, 2), "4"])
+def test_rejects_non_integer_entries(entry):
+    with pytest.raises(ValueError, match="integers"):
+        EvenLattice(((entry,),))
+
+
+def test_accepts_integral_floats():
+    assert EvenLattice(((4.0,),)).gram == ((4,),)
+
+
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         EvenLattice(((2, 0),))
@@ -260,40 +270,81 @@ def test_points_in_ball_property_a2(coset, center, bound):
     assert A2.points_in_ball(beta, c, bound) == _ball_in_order(A2, beta, c, bound)
 
 
-def test_points_in_ball_cap():
+def test_points_in_ball_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "ENUM_CAP", 3)
     with pytest.raises(BoundTooLarge):
-        L4.points_in_ball((Fraction(0),), (Fraction(0),), Fraction(400), cap=3)
+        L4.points_in_ball((Fraction(0),), (Fraction(0),), Fraction(400))
 
 
-def test_points_in_ball_cap_counts_every_accepted_candidate():
+def test_points_in_ball_cap_counts_every_accepted_candidate(monkeypatch):
     # rank one: one candidate per point, |n| <= 10 for 4 n^2 <= 400
     zero1 = (Fraction(0),)
-    assert len(L4.points_in_ball(zero1, zero1, Fraction(400), cap=21)) == 21
+    monkeypatch.setattr(lattice, "ENUM_CAP", 21)
+    assert len(L4.points_in_ball(zero1, zero1, Fraction(400))) == 21
+    monkeypatch.setattr(lattice, "ENUM_CAP", 20)
     with pytest.raises(BoundTooLarge):
-        L4.points_in_ball(zero1, zero1, Fraction(400), cap=20)
+        L4.points_in_ball(zero1, zero1, Fraction(400))
     # rank two: the points plus every accepted last coordinate, boxed by the
     # last LDL pivot 3/2
+    monkeypatch.undo()  # the reference ball runs under the real cap
     zero2 = (Fraction(0), Fraction(0))
     bound = Fraction(12)
     pts = A2.points_in_ball(zero2, zero2, bound)
     cap = len(pts) + sum(1 for n in range(-10, 11) if Fraction(3, 2) * n * n <= bound)
-    assert A2.points_in_ball(zero2, zero2, bound, cap=cap) == pts
+    monkeypatch.setattr(lattice, "ENUM_CAP", cap)
+    assert A2.points_in_ball(zero2, zero2, bound) == pts
+    monkeypatch.setattr(lattice, "ENUM_CAP", cap - 1)
     with pytest.raises(BoundTooLarge):
-        A2.points_in_ball(zero2, zero2, bound, cap=cap - 1)
+        A2.points_in_ball(zero2, zero2, bound)
+
+
+@pytest.mark.parametrize(
+    "L,beta,center",
+    [
+        (L4, (0, 0), (0, 0)),
+        (L4, (0, Fraction(1, 2)), (0,)),
+        (L4, (0,), (0, 0)),
+        (A2, (0,), (0, 0)),
+        (A2, (0, 0), (0,)),
+    ],
+    ids=["l4-both", "l4-coset", "l4-center", "a2-coset", "a2-center"],
+)
+def test_points_in_ball_rejects_the_wrong_dimension(L, beta, center):
+    with pytest.raises(ValueError, match="coordinates"):
+        L.points_in_ball(beta, center, Fraction(4))
+
+
+def test_theta_series_rejects_a_coset_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="coordinates"):
+        L4.theta_series((0, Fraction(1, 2)), 4)
 
 
 def test_enumerate_vectors_shifted_coset_tight_bound():
     # <m,m>/2 <= 1/4 around the quarter coset catches exactly one vector
-    got = L4.enumerate_vectors((Fraction(1, 4),), Fraction(1, 4))
+    got = [m for m, _ in L4.enumerate_vectors((Fraction(1, 4),), Fraction(1, 4))]
     assert got == [(Fraction(1, 4),)]
 
 
 def test_enumerate_vectors_sorted_and_bounded():
-    pts = A2.enumerate_vectors((Fraction(0), Fraction(0)), 6)
+    pts = [m for m, _ in A2.enumerate_vectors((Fraction(0), Fraction(0)), 6)]
     assert pts == sorted(pts)
     assert all(Fraction(A2.norm2(m)) / 2 <= 6 for m in pts)
     assert len(pts) == len(set(pts))
     assert len(pts) == len(_brute_ball(A2, (0, 0), (0, 0), 12))
+
+
+@pytest.mark.parametrize("L", [L4, A2, A3, D4], ids=["L4", "A2", "A3", "D4"])
+def test_enumerate_vectors_pairs_carry_exact_half_norms(L):
+    bound = 3
+    for beta in L.cosets:
+        pairs = L.enumerate_vectors(beta, bound)
+        assert pairs
+        for m, h in pairs:
+            assert type(h) is Fraction
+            assert h == Fraction(L.norm2(m)) / 2
+            assert h <= bound
+        pts = [m for m, _ in pairs]
+        assert pts == sorted(pts)
 
 
 # ---------------------------------------------------------------------------

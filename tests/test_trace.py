@@ -88,6 +88,22 @@ def test_trace_point_validation():
         TracePoint((0.1,), (0.2,), 1.0 - 0.5j)
 
 
+@pytest.mark.parametrize(
+    "L,beta,a",
+    [
+        (A2, (Fraction(1, 3), Fraction(2, 3)), (0.1,)),
+        (A2, (Fraction(1, 3),), (0.1, 0.2)),
+        (L4, (Fraction(1, 4),), (0.1, 0.2)),
+        (L4, (Fraction(1, 4), Fraction(0)), (0.1,)),
+    ],
+    ids=["a2-point", "a2-coset", "l4-point", "l4-coset"],
+)
+def test_z_trace_rejects_the_wrong_dimension(L, beta, a):
+    pt = TracePoint(a, (0.05,) * len(a), 0.1 + 1.1j)
+    with pytest.raises(ValueError, match="coordinates"):
+        z_trace(L, beta, pt)
+
+
 @pytest.mark.parametrize("beta", [(Fraction(0),), (Fraction(1, 4),), (Fraction(1, 2),)])
 def test_z_trace_matches_literal_sum_norm4(beta):
     pt = TracePoint((0.11 + 0.05j,), (0.21 - 0.09j,), 0.31 + 1.12j)
