@@ -7,7 +7,8 @@ Layers, bottom up:
   evaluators (eta, weight-two Eisenstein, the elliptic kernel, theta
   functions with half characteristics)
 - lattice: even positive-definite Gram data, dual cosets, exact enumeration
-- trace: the graded trace z_trace of each coset module, closed form
+- trace: the graded trace z_trace of each coset module, closed form, and
+  z_table, its batch over points and cosets
 - fock: literal graded module bases and mode operators, the independent
   oracle for the closed form
 - involutions: the fixed-point/pairing combinatorics behind the n-point
@@ -32,7 +33,7 @@ from .qseries import (
     theta_s_constant,
     weierstrass_p,
 )
-from .trace import TracePoint, t_phase, theta_w, z_trace, z_vector
+from .trace import TracePoint, t_phase, theta_w, z_table, z_trace, z_vector
 
 __all__ = [
     "BiSeries",
@@ -52,6 +53,7 @@ __all__ = [
     "theta_s_constant",
     "theta_w",
     "weierstrass_p",
+    "z_table",
     "z_trace",
     "z_vector",
 ]

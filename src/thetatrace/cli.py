@@ -41,7 +41,7 @@ from .qseries import (
     theta_s_constant,
     weierstrass_p,
 )
-from .trace import TracePoint, insertion_counts_by_grade, t_phase, z_trace
+from .trace import TracePoint, insertion_counts_by_grade, t_phase, z_table
 
 DEFAULT_GRAM = ((4,),)
 DEFAULT_LABEL = "builtin-norm4"
@@ -331,15 +331,10 @@ def check_fock_phase_census(cfg: RunConfig) -> float:
 def check_t_phase(cfg: RunConfig) -> float:
     L = cfg.lattice
     pts = modular.sample_points(L.dim, N_POINTS, cfg.seed + 13)
-    worst = 0.0
-    for beta in L.cosets:
-        phase = t_phase(L, beta)
-        for pt in pts:
-            lhs = z_trace(L, beta, TracePoint(pt.a, pt.b, pt.tau + 1))
-            shifted = tuple(x + y for x, y in zip(pt.a, pt.b))
-            rhs = phase * z_trace(L, beta, TracePoint(shifted, pt.b, pt.tau))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = z_table(L, [TracePoint(pt.a, pt.b, pt.tau + 1) for pt in pts])
+    shifted = [TracePoint(tuple(x + y for x, y in zip(pt.a, pt.b)), pt.b, pt.tau) for pt in pts]
+    phases = np.array([t_phase(L, beta) for beta in L.cosets])
+    return float(np.max(np.abs(lhs - phases * z_table(L, shifted))))
 
 
 def check_fit_t_diagonal(cfg: RunConfig) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -131,7 +132,8 @@ class EvenLattice:
     def inner(self, x: Sequence, y: Sequence):
         """Bilinear form <x, y> in basis coordinates (no conjugation)."""
         g = self.gram
-        return sum(x[i] * g[i][j] * y[j] for i in range(self.dim) for j in range(self.dim))
+        d = range(self.dim)
+        return sum(x[i] * g[i][j] * y[j] for i in d for j in d)
 
     def norm2(self, x: Sequence):
         return self.inner(x, x)
@@ -165,6 +167,17 @@ class EvenLattice:
                 f"found {len(reps)} coset representatives, expected |det| = {expected}"
             )
         return tuple(sorted(reps))
+
+    def check_dual(self, beta: Sequence) -> tuple:
+        """beta as a tuple of Fractions; raises ValueError unless it has dim
+        coordinates and lies in the dual lattice, i.e. G beta is integral."""
+        d = self.dim
+        if len(beta) != d:
+            raise ValueError(f"coset needs {d} coordinates, got {len(beta)}")
+        beta = tuple(map(Fraction, beta))
+        if any(sum(map(operator.mul, row, beta)).denominator != 1 for row in self.gram):
+            raise ValueError(f"coset {beta} is not in the dual lattice: G beta is not integral")
+        return beta
 
     def coset_norm_half(self, beta: Sequence[Fraction]) -> Fraction:
         """<beta, beta>/2 as an exact rational."""
@@ -258,9 +271,10 @@ class EvenLattice:
 
     def theta_series(self, beta: Sequence, q_order: int) -> TruncatedSeries:
         """sum_{m in L+beta} q^{<m,m>/2} with exact integer coefficients,
-        trusted through q^q_order; the grades are enumerate_vectors'
-        half-norms, over the lcm of their denominators."""
-        pairs = self.enumerate_vectors(beta, q_order)
+        trusted through q^q_order, for a dual beta (see check_dual); the
+        grades are enumerate_vectors' half-norms, over the lcm of their
+        denominators."""
+        pairs = self.enumerate_vectors(self.check_dual(beta), q_order)
         denom = math.lcm(*(h.denominator for _, h in pairs))
         coeffs: dict = {}
         for _, h in pairs:

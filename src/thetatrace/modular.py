@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BoundTooLarge, IllConditioned, ThetaTraceError
 from .lattice import EvenLattice
 from .qseries import require_im
-from .trace import TracePoint, t_phase, z_vector
+from .trace import TracePoint, t_phase, z_table
 
 COND_CAP = 1e10
 WORD_FLOOR = 5e-3
@@ -215,14 +215,10 @@ def _vector_table(
     points: Sequence[TracePoint],
 ):
     """(lhs, rhs) sample matrices: rows are points, columns are cosets,
-    evaluated with the word floor and tail target."""
-    lhs = []
-    rhs = []
-    for pt in points:
-        moved = TracePoint(pt.a, pt.b, alpha.act_tau(pt.tau))
-        lhs.append(z_vector(L, moved, WORD_FLOOR, WORD_RTOL))
-        rhs.append(z_vector(L, alpha.act_point(pt), WORD_FLOOR, WORD_RTOL))
-    return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
+    evaluated with the word floor and tail target, one z_table batch each."""
+    moved = [TracePoint(pt.a, pt.b, alpha.act_tau(pt.tau)) for pt in points]
+    lhs = z_table(L, moved, WORD_FLOOR, WORD_RTOL)
+    return lhs, z_table(L, [alpha.act_point(pt) for pt in points], WORD_FLOOR, WORD_RTOL)
 
 
 def fit_transition(

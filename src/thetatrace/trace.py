@@ -12,8 +12,12 @@ with the grading shift q^{-d/24} is exactly eta^-d, which is why eta carries
 the whole non-lattice part.
 
 The sum is a Gaussian: terms decay like exp(-pi Im(tau) <y,y>) around a
-computable center, so evaluation enumerates one ball of lattice points and
-certifies the discarded tail.
+computable center, so each point needs only the lattice points of one ball
+around it, and the discarded tail is certified per point.  Evaluation is
+batched: for each coset, one enumerated ball covers the balls of a whole
+batch of points, its offsets become arrays once, and each point then costs
+one exponent, one exp and one sum (z_table; z_trace, z_vector and theta_w
+are batches of one).
 
 Sign bookkeeping: the natural pairing on weight-one module elements is the
 negative of the lattice form, <a(-1)1, b(-1)1> = -<a, b>.  That single sign
@@ -40,6 +44,14 @@ PAIRING_SIGN = -1
 # Relative tail target for the Gaussian lattice sums.
 TRACE_RTOL = 1e-14
 
+# Most enumerated points one ball may hold: the factor by which the
+# lattice count may swell the tail beyond its largest discarded term.
+CUSHION = 10**4
+
+# Relative slack of a float distance^2 against rounding, where a ball is
+# derived from distances rather than enumerated at its own center.
+COVER_SLACK = 1 + 1e-9
+
 
 @dataclass(frozen=True)
 class TracePoint:
@@ -65,33 +77,65 @@ def state_pairing(L: EvenLattice, a: Sequence, b: Sequence) -> complex:
     return PAIRING_SIGN * complex(L.inner(a, b))
 
 
-def _lattice_sum(
-    L: EvenLattice,
-    beta: Sequence[Fraction],
-    point: TracePoint,
-    rtol: float,
-) -> complex:
-    """sum_{m in L+beta} e^{2 pi i <a, m+b/2>} q^{<m+b,m+b>/2} by ball
-    enumeration around the Gaussian center, summed in one numpy pass."""
+def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
+    """The per-point, per-coset-independent part of the kernel: for each point
+    (center, radius^2, a + tau b, tau/2, constant) with the exponent
+
+        <a, m+b/2> + tau <m+b, m+b>/2
+            = tau/2 <m,m> + <a + tau b, G m> + (<a,b> + tau <b,b>)/2
+
+    and the own ball (center, radius^2) outside which every term of its sum
+    is below exp(-2 pi margin) of the Gaussian's peak; the margin leaves a
+    factor CUSHION for the lattice count of the discarded tail."""
     d = L.dim
-    if len(point.a) != d:
-        raise ValueError(f"insertion vectors need {d} coordinates, got {len(point.a)}")
-    a, b, tau = point.a, point.b, point.tau
-    re_b = [x.real for x in b]
-    im_b = [x.imag for x in b]
-    im_a = [x.imag for x in a]
-    # |term| = exp(-2 pi weight), weight = Im(tau) <y,y>/2 + <w, y> + const
-    # with y = m + Re b and w = Re(tau) Im b + Im a; the minimum over real y
-    # sits at y* = -w / Im(tau).
-    w = [tau.real * im_b[i] + im_a[i] for i in range(d)]
-    y_star = [-wi / tau.imag for wi in w]
-    margin = (math.log(1.0 / rtol) + math.log(1e4)) / (2 * math.pi)
+    margin = (math.log(1.0 / rtol) + math.log(CUSHION)) / (2 * math.pi)
+    out = []
+    for pt in points:
+        if len(pt.a) != d:
+            raise ValueError(f"insertion vectors need {d} coordinates, got {len(pt.a)}")
+        a, b, tau = pt.a, pt.b, pt.tau
+        # |term| = exp(-2 pi weight), weight = Im(tau) <y,y>/2 + <w, y> + const
+        # with y = m + Re b and w = Re(tau) Im b + Im a; the minimum over real
+        # y sits at y* = -w / Im(tau), i.e. at m = y* - Re b
+        center = [-(tau.real * b[i].imag + a[i].imag) / tau.imag - b[i].real for i in range(d)]
+        lin = [a[i] + tau * b[i] for i in range(d)]
+        const = (complex(L.inner(a, b)) + tau * complex(L.inner(b, b))) / 2
+        out.append((center, 2 * margin / tau.imag, lin, tau / 2, const))
+    return out
+
+
+def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list:
+    """[sum_{m in L+beta} e^{2 pi i <a, m+b/2>} q^{<m+b,m+b>/2} for each
+    prepared point of batch], over one enumerated ball that covers every
+    point's own ball.
+
+    A point's own ball is the exact one at its float center and radius.  The
+    covering ball is centered at the center of the largest own ball, with
+    radius max_p (dist(c_p, c_0) + r_p) and a relative slack for rounding;
+    terms outside a point's own ball are below its cutoff, so summing them
+    only shrinks the truncation error.  A covering ball beyond the tail
+    cushion splits the batch in halves, down to single points, whose
+    covering ball is their own: the tail checks are those of each point
+    alone, and they run before any term is evaluated.
+    """
+    d = L.dim
+    c0, bound = max((p[:2] for p in batch), key=lambda ball: ball[1])
+    if len(batch) > 1:
+        bound = COVER_SLACK * max(
+            (math.sqrt(r2) + math.sqrt(abs(L.norm2([x - y for x, y in zip(c, c0)])))) ** 2
+            for c, r2, *_ in batch
+        )
+        # its volume over the covolume estimates its count: split without
+        # enumerating a ball estimated far beyond the cushion, and leave
+        # the exact count to decide near it
+        vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * bound ** (d / 2)
+        if vol > 4 * CUSHION * math.sqrt(L.det):
+            return _split(L, beta, batch)
     # the floats are exact binary fractions, so this is the exact ball
-    center = [y_star[i] - re_b[i] for i in range(d)]
-    cols = L._ball_offsets(beta, center, 2 * margin / tau.imag)
+    cols = L._ball_offsets(beta, c0, bound)
     count = len(cols[0])
     if not count:
-        # the ball holds every term within exp(-2 pi margin) of the
+        # the own ball holds every term within exp(-2 pi margin) of the
         # Gaussian's peak, but its radius does not grow with the lattice:
         # when no point of L + beta lies that near the center, the ball is
         # empty and no relative tail is certified; `verify main-theorem`
@@ -100,30 +144,57 @@ def _lattice_sum(
         raise TailBoundViolated("empty enumeration ball for the trace sum")
     # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
     # cushion covering the lattice-count factor at desk scale
-    if count > 10**4:
-        raise TailBoundViolated(
-            f"tail cushion cannot cover {count} enumerated points"
-        )
-    # exponent <a, m+b/2> + tau <m+b, m+b>/2, expanded in m so that every
-    # temporary is a (d, N) or length-N array:
-    #   tau/2 <m,m> + <a + tau b, m> + <a,b>/2 + tau <b,b>/2
-    gram = np.array(L.gram, dtype=float)
-    av = np.array(a)
-    bv = np.array(b)
-    gb = gram @ bv
+    if count > CUSHION:
+        if len(batch) > 1:
+            return _split(L, beta, batch)
+        raise TailBoundViolated(f"tail cushion cannot cover {count} enumerated points")
+    if len(batch) > 1:
+        for center, r2, *_ in batch:
+            # the coordinatewise rounding of the center settles almost
+            # every point; the rest enumerate their own ball alone
+            near = [float(x) + round(c - float(x)) - c for x, c in zip(beta, center)]
+            if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, center, r2)[0]:
+                raise TailBoundViolated("empty enumeration ball for the trace sum")
+    # every temporary is a (d, N) or length-N array
     m = np.array(cols, dtype=float)
     m += np.array([float(x) for x in beta])[:, None]
+    gm = np.array(L.gram, dtype=float) @ m
+    mm = (gm * m).sum(axis=0)
+    gm = gm + 0j
+    sums = []
     with np.errstate(all="ignore"):
-        expo = (tau / 2) * ((gram @ m) * m).sum(axis=0)
-        expo += (gram @ av + tau * gb) @ m
-        expo += (av @ gb + tau * (bv @ gb)) / 2
-        acc = complex(np.exp(TWO_PI_I * expo).sum())
-    if not cmath.isfinite(acc):
-        raise TailBoundViolated(
-            "trace sum overflows double precision; insertion vectors are "
-            "outside the desk-scale range"
-        )
-    return acc
+        for _, _, lin, half_tau, const in batch:
+            expo = np.array(lin) @ gm
+            expo += half_tau * mm
+            expo += const
+            acc = complex(np.exp(TWO_PI_I * expo).sum())
+            if not cmath.isfinite(acc):
+                raise TailBoundViolated(
+                    "trace sum overflows double precision; insertion vectors are "
+                    "outside the desk-scale range"
+                )
+            sums.append(acc)
+    return sums
+
+
+def _split(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list:
+    half = len(batch) // 2
+    return _lattice_sums(L, beta, batch[:half]) + _lattice_sums(L, beta, batch[half:])
+
+
+def z_table(
+    L: EvenLattice,
+    points: Sequence[TracePoint],
+    im_floor: float = IM_TAU_FLOOR,
+    rtol: float = TRACE_RTOL,
+) -> np.ndarray:
+    """z_trace of every point (rows) at every dual coset (columns, in the
+    canonical sorted coset order), eta(tau)^d computed once per point and
+    each coset's sum over one batched ball (see _lattice_sums)."""
+    eta_d = [eta_eval(pt.tau, im_floor) ** L.dim for pt in points]
+    batch = _prepare(L, points, rtol)
+    sums = [_lattice_sums(L, beta, batch) for beta in L.cosets]
+    return np.array([[s[p] / e for s in sums] for p, e in enumerate(eta_d)], dtype=complex)
 
 
 def z_trace(
@@ -134,11 +205,10 @@ def z_trace(
     rtol: float = TRACE_RTOL,
 ) -> complex:
     """Graded trace of e^{2 pi i (a(0) + <a,b>/2)} q^{b(0) + <b,b>/2 + L(0) - d/24}
-    over the module attached to the coset L + beta."""
-    require_im(point.tau, im_floor)
-    beta = tuple(Fraction(x) for x in beta)
+    over the module attached to the coset L + beta, which must be dual: the
+    batch kernel on one point."""
     eta_d = eta_eval(point.tau, im_floor) ** L.dim
-    return _lattice_sum(L, beta, point, rtol) / eta_d
+    return _lattice_sums(L, L.check_dual(beta), _prepare(L, [point], rtol))[0] / eta_d
 
 
 def z_vector(
@@ -147,16 +217,18 @@ def z_vector(
     im_floor: float = IM_TAU_FLOOR,
     rtol: float = TRACE_RTOL,
 ) -> list:
-    """z_trace for every dual coset, in the canonical sorted coset order."""
-    return [z_trace(L, beta, point, im_floor, rtol) for beta in L.cosets]
+    """z_trace for every dual coset, in the canonical sorted coset order:
+    z_table on one point."""
+    return z_table(L, [point], im_floor, rtol)[0].tolist()
 
 
 def theta_w(L: EvenLattice, beta: Sequence, a: Sequence, tau: complex) -> complex:
     """Numerator theta function of the module, z_trace at b = 0 without the
-    eta^-d factor: sum_{m in L+beta} e^{2 pi i <a, m>} q^{<m,m>/2}."""
+    eta^-d factor: sum_{m in L+beta} e^{2 pi i <a, m>} q^{<m,m>/2}, beta
+    dual; the batch kernel on one point."""
     point = TracePoint(tuple(a), (0.0,) * L.dim, tau)
     require_im(point.tau)
-    return _lattice_sum(L, tuple(Fraction(x) for x in beta), point, TRACE_RTOL)
+    return _lattice_sums(L, L.check_dual(beta), _prepare(L, [point], TRACE_RTOL))[0]
 
 
 def t_phase(L: EvenLattice, beta: Sequence) -> complex:
@@ -168,8 +240,7 @@ def t_phase(L: EvenLattice, beta: Sequence) -> complex:
     The exponent is well defined modulo 1 because the lattice is even and
     beta is dual.
     """
-    beta = tuple(Fraction(x) for x in beta)
-    frac = L.coset_norm_half(beta) - Fraction(L.dim, 24)
+    frac = L.coset_norm_half(L.check_dual(beta)) - Fraction(L.dim, 24)
     return cmath.exp(TWO_PI_I * float(frac % 1))
 
 

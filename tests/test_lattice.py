@@ -207,7 +207,7 @@ def _ball_in_order(L, beta, center, bound, span=12):
 
 
 def _near(x):
-    # a center as _lattice_sum passes it: the exact value of a float
+    # a center as _lattice_sums passes it: the exact value of a float
     return Fraction(x)
 
 
@@ -228,7 +228,7 @@ def test_points_in_ball_matches_brute_force(L, beta, center, bound):
 @pytest.mark.parametrize(
     "L,beta,center,bound,span",
     [
-        # a2 coset with float centers and bound, as _lattice_sum passes them
+        # a2 coset with float centers and bound, as _lattice_sums passes them
         (A2, (Fraction(1, 3), Fraction(2, 3)), (_near(0.3183), _near(-1.4142)),
          _near(6.283185307), 12),
         (Z2SQ, (Fraction(1, 2), Fraction(0)), (_near(0.1), _near(-0.7)), Fraction(9), 12),
@@ -350,6 +350,15 @@ def test_enumerate_vectors_pairs_carry_exact_half_norms(L):
 # ---------------------------------------------------------------------------
 # theta series
 # ---------------------------------------------------------------------------
+
+
+def test_theta_series_rejects_a_coset_outside_the_dual():
+    # G beta = 4/5 is not integral; every dual coset of L4 and A2 passes
+    with pytest.raises(ValueError, match="dual"):
+        L4.theta_series((Fraction(1, 5),), 4)
+    for L in (L4, A2):
+        for beta in L.cosets:
+            assert L.check_dual(beta) == beta
 
 
 def test_theta_series_norm4():

@@ -19,12 +19,14 @@ from thetatrace.trace import (
     state_pairing,
     t_phase,
     theta_w,
+    z_table,
     z_trace,
     z_vector,
 )
 
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
+L60 = EvenLattice(((60,),))
 HALF = Fraction(1, 2)
 
 
@@ -50,8 +52,8 @@ def _grid(dim, span):
 
 
 def _literal_ball(L, beta, point, rtol):
-    """The trace sum's ball (shift, center, norm bound), written out as
-    _lattice_sum chooses it: the exact rationals of its floats."""
+    """A point's own ball (shift, center, norm bound), written out as
+    _lattice_sums chooses it: the exact rationals of its floats."""
     d = L.dim
     a, b, tau = point.a, point.b, point.tau
     w = [tau.real * b[i].imag + a[i].imag for i in range(d)]
@@ -142,7 +144,7 @@ def test_lattice_sum_matches_term_by_term_sum(L, im_tau):
         complex(0.17, im_tau),
     )
     for beta in L.cosets:
-        lhs = trace._lattice_sum(L, beta, pt, TRACE_RTOL)
+        lhs = trace._lattice_sums(L, beta, trace._prepare(L, [pt], TRACE_RTOL))[0]
         rhs = _literal_lattice_sum(L, beta, pt, TRACE_RTOL)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
         # the kernel's integer offsets are the exact ball, in order
@@ -151,6 +153,67 @@ def test_lattice_sum_matches_term_by_term_sum(L, im_tau):
         assert list(zip(*([b + n for n in col] for b, col in zip(beta, cols)))) == (
             L.points_in_ball(*ball)
         )
+
+
+@pytest.mark.parametrize("L", [L4, A2])
+def test_z_table_batch_matches_z_trace_per_point(L):
+    # Im tau from 0.006 to 1.2 and complex insertion vectors spread the
+    # centers, so each coset's covering ball is wider than any point's own
+    d = L.dim
+    pts = [
+        TracePoint(
+            tuple(0.07 * k - 0.03j * (i + k) for i in range(d)),
+            tuple(-0.11 + 0.02j * (i + 2) * k for i in range(d)),
+            complex(0.17 - 0.1 * k, im_tau),
+        )
+        for k, im_tau in enumerate([0.006, 0.04, 0.3, 1.2])
+    ]
+    table = z_table(L, pts, im_floor=0.001)
+    assert table.shape == (len(pts), len(L.cosets))
+    for pt, row in zip(pts, table):
+        for beta, got in zip(L.cosets, row):
+            want = z_trace(L, beta, pt, im_floor=0.001)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("shift,covering", [(0.07, 1), (0.35, 0)])
+def test_z_table_splits_a_batch_beyond_the_cushion(monkeypatch, shift, covering):
+    # at Im tau = 0.004 each a2 own ball holds 5,985 points, under the 1e4
+    # cushion, but Im a moves the second center by shift / Im tau, so their
+    # covering ball holds more: about 1.2e4 points at shift 0.07, which is
+    # enumerated and then split, and about 6e4 at 0.35, which is split
+    # unenumerated; either way the batch returns its single points' values
+    pts = [
+        TracePoint((0.0, 0.0), (0.0, 0.0), 0.004j),
+        TracePoint((shift * 1j, 0.0), (0.0, 0.0), 0.004j),
+    ]
+    counts = []
+    offsets = EvenLattice._ball_offsets
+
+    def counted(self, beta, center, bound):
+        cols = offsets(self, beta, center, bound)
+        counts.append(len(cols[0]))
+        return cols
+
+    want = [[z_trace(A2, beta, pt, im_floor=0.001) for beta in A2.cosets] for pt in pts]
+    monkeypatch.setattr(EvenLattice, "_ball_offsets", counted)
+    assert z_table(A2, pts, im_floor=0.001).tolist() == want
+    assert len(counts) == len(A2.cosets) * (len(pts) + covering)
+    assert sum(n > trace.CUSHION for n in counts) == len(A2.cosets) * covering
+    assert all(n > 5900 for n in counts)
+
+
+def test_z_table_refuses_a_point_with_an_empty_own_ball():
+    # on Gram [[60]] at Im tau = 1 the own ball has coordinate radius 0.47:
+    # around 0 it holds the origin, around -1/2 nothing, although the
+    # covering ball of the two holds the origin
+    full = TracePoint((0.0,), (0.0,), 1j)
+    empty = TracePoint((0.0,), (0.5,), 1j)
+    with pytest.raises(TailBoundViolated, match="empty"):
+        z_trace(L60, (0,), empty)
+    assert abs(z_trace(L60, (0,), full)) > 0
+    with pytest.raises(TailBoundViolated, match="empty"):
+        z_table(L60, [full, empty])
 
 
 def test_z_trace_ball_is_not_rounded(monkeypatch):
@@ -185,6 +248,22 @@ def test_z_trace_tail_cushion_checked_before_summing(monkeypatch):
     monkeypatch.setattr(trace, "np", NoTerms())
     with pytest.raises(TailBoundViolated, match="11977 enumerated points"):
         z_trace(A2, A2.cosets[0], TracePoint((0, 0), (0, 0), 0.002j), im_floor=0.001)
+
+
+def test_z_trace_rejects_a_coset_outside_the_dual():
+    # G beta = 4/5 is not integral: L4 + 1/5 is no module of the family
+    with pytest.raises(ValueError, match="dual"):
+        z_trace(L4, (Fraction(1, 5),), TracePoint((0.1,), (0.05,), 0.1 + 1.1j))
+
+
+def test_theta_w_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        theta_w(L4, (Fraction(1, 5),), (0.1,), 0.1 + 1.1j)
+
+
+def test_t_phase_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        t_phase(L4, (Fraction(1, 5),))
 
 
 def test_state_pairing_sign_convention():
