@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import BoundTooLarge, NTooLarge, ParityMismatch
 
@@ -36,27 +36,51 @@ def _sorted_pairs(pairs: Sequence) -> tuple:
     return out
 
 
-def _pairings(n: int) -> Iterator[tuple]:
-    """The 2-cycles of every involution of {1..n}, identity first, each as a
-    sorted tuple of pairs (i, j) with i < j."""
+def _walk(n: int, leaf: Callable[[List[Tuple[int, int]]], None]) -> None:
+    """Call leaf once at every involution of {1..n}, identity first.
+
+    leaf receives one reused list holding the involution's 2-cycles (i, j),
+    i < j, sorted; it must copy what it keeps.  Bit k-1 of the mask is set
+    while letter k is unplaced.  The lowest unplaced letter is fixed first,
+    then paired with each higher unplaced letter in turn, each pair pushed
+    before the recursive call and popped after it.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise NTooLarge(f"n must be an int, got {n!r}")
     if not (1 <= n <= N_CAP):
         raise NTooLarge(f"need 1 <= n <= {N_CAP}, got {n}")
+    stack: List[Tuple[int, int]] = []
+    push, pop = stack.append, stack.pop
 
-    def rec(avail: Tuple[int, ...], pairs: tuple):
-        if not avail:
-            yield pairs
+    def rec(unplaced: int) -> None:
+        if not unplaced:
+            leaf(stack)
             return
-        first, rest = avail[0], avail[1:]
-        yield from rec(rest, pairs)  # fix first
-        for k, other in enumerate(rest):
-            yield from rec(rest[:k] + rest[k + 1 :], pairs + ((first, other),))
+        low = unplaced & -unplaced
+        first = low.bit_length()
+        rest = unplaced ^ low
+        rec(rest)  # fix first
+        others = rest
+        while others:
+            bit = others & -others
+            others ^= bit
+            push((first, bit.bit_length()))
+            rec(rest ^ bit)
+            pop()
 
-    yield from rec(tuple(range(1, n + 1)), ())
+    try:
+        rec((1 << n) - 1)
+    finally:
+        rec = None  # rec refers to itself: break the cycle so leaf is freed now
 
 
-@lru_cache(maxsize=None)
+# typed, here and on _pair_tally: 6.0 or True must reach _walk's type check,
+# not the entry cached for 6 or 1
+@lru_cache(maxsize=None, typed=True)
 def _all_involutions(n: int) -> tuple:
-    return tuple(_pairings(n))
+    out: List[tuple] = []
+    _walk(n, lambda stack: out.append(tuple(stack)))
+    return tuple(out)
 
 
 def list_involutions(n: int) -> List[tuple]:
@@ -65,22 +89,28 @@ def list_involutions(n: int) -> List[tuple]:
     return list(_all_involutions(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _pair_tally(n: int) -> tuple:
     """counts[p] = number of involutions of {1..n} with p pairs, tallied in
-    one pass over the enumeration."""
-    counts = [0] * (n // 2 + 1)
-    for pairs in _pairings(n):
-        counts[len(pairs)] += 1
-    return tuple(counts)
+    one walk over them, building no pair tuple."""
+    counts = [0] * (N_CAP // 2 + 1)
+
+    def leaf(stack: list) -> None:
+        counts[len(stack)] += 1
+
+    _walk(n, leaf)
+    return tuple(counts[: n // 2 + 1])
 
 
 def count_with_fixed(n: int, r: int) -> int:
     """Number of involutions of {1..n} with exactly r fixed points, counted
     by enumeration."""
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise ParityMismatch(f"the number of fixed points must be an int, got {r!r}")
+    tally = _pair_tally(n)
     if (n - r) % 2 != 0 or not (0 <= r <= n):
         raise ParityMismatch(f"no involutions of {n} elements fix exactly {r}")
-    return _pair_tally(n)[(n - r) // 2]
+    return tally[(n - r) // 2]
 
 
 def closed_form_fixed_count(p: int, r: int) -> int:

@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,8 @@ from thetatrace.involutions import (
     verify_sign_lemma,
 )
 
-TELEPHONE = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]  # T(0)..T(10)
+# T(0)..T(12)
+TELEPHONE = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152]
 
 
 def _images(pairs, n):
@@ -34,9 +36,48 @@ def _images(pairs, n):
 # ---------------------------------------------------------------------------
 
 
+def _tuple_recursion(n):
+    """A reference copy of the nested-generator enumeration the walk
+    replaced: fix the lowest free letter, else pair it with each other
+    free letter in turn."""
+
+    def rec(avail, pairs):
+        if not avail:
+            yield pairs
+            return
+        first, rest = avail[0], avail[1:]
+        yield from rec(rest, pairs)
+        for k, other in enumerate(rest):
+            yield from rec(rest[:k] + rest[k + 1 :], pairs + ((first, other),))
+
+    return list(rec(tuple(range(1, n + 1)), ()))
+
+
 def test_involution_counts_match_telephone_numbers():
-    for n in range(1, 11):
-        assert len(list_involutions(n)) == TELEPHONE[n]
+    # the tally walks every involution; its total is T(n) through N_CAP,
+    # and through count_with_fixed it sums to the same
+    assert involutions.N_CAP == len(TELEPHONE) - 1
+    for n in range(1, involutions.N_CAP + 1):
+        assert sum(involutions._pair_tally(n)) == TELEPHONE[n]
+        total = sum(count_with_fixed(n, r) for r in range(n % 2, n + 1, 2))
+        assert total == TELEPHONE[n]
+
+
+def test_involution_order_matches_tuple_recursion():
+    for n in range(1, 10):
+        assert list_involutions(n) == _tuple_recursion(n)
+
+
+def test_walk_leaves_no_reference_cycle():
+    # the walk's closures and its leaf are freed when it returns, not at a
+    # later cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        involutions._walk(6, lambda stack: None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_involutions_square_to_identity():
@@ -47,13 +88,19 @@ def test_involutions_square_to_identity():
 
 
 def test_involutions_are_distinct_and_complete():
-    # against a brute-force scan of all permutations of 6 letters
-    brute = sum(
-        1
-        for p in permutations(range(6))
-        if all(p[p[i]] == i for i in range(6))
-    )
-    assert len(list_involutions(6)) == brute
+    # against a brute-force scan of all permutations sigma of {1..n}: every
+    # one with sigma o sigma = id is listed exactly once, identity first
+    for n in range(1, 9):
+        listed = list_involutions(n)
+        assert listed[0] == ()
+        images = [_images(sigma, n) for sigma in listed]
+        assert len(set(images)) == len(images)
+        oracle = {
+            tuple(x + 1 for x in p)
+            for p in permutations(range(n))
+            if all(p[p[i]] == i for i in range(n))
+        }
+        assert set(images) == oracle
 
 
 def test_listed_involutions_are_canonical():
@@ -84,6 +131,18 @@ def test_n_cap():
         list_involutions(0)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, False, None])
+def test_non_int_n_is_refused(n):
+    # 3.0 and True compare equal to cached ints: the caches are typed
+    list_involutions(3)
+    list_involutions(1)
+    count_with_fixed(3, 1)
+    with pytest.raises(NTooLarge):
+        list_involutions(n)
+    with pytest.raises(NTooLarge):
+        count_with_fixed(n, 1)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point counting
 # ---------------------------------------------------------------------------
@@ -98,23 +157,27 @@ def test_count_with_fixed_n6():
         count_with_fixed(6, 1)
 
 
+@pytest.mark.parametrize("r", [2.0, 2.5, "2", True, None])
+def test_non_int_r_is_refused(r):
+    with pytest.raises(ParityMismatch):
+        count_with_fixed(6, r)
+
+
 def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
     involutions._pair_tally.cache_clear()
     seen = []
-    enumerate_n = involutions._pairings
+    walk = involutions._walk
     monkeypatch.setattr(
-        involutions, "_pairings", lambda n: seen.append(n) or enumerate_n(n)
+        involutions, "_walk", lambda n, leaf: seen.append(n) or walk(n, leaf)
     )
     counts = [count_with_fixed(10, r) for r in range(0, 11, 2)]
     assert counts == [closed_form_fixed_count((10 - r) // 2, r) for r in range(0, 11, 2)]
     assert seen == [10]
 
 
-def test_pairings_follow_involutions_and_tally_matches():
+def test_tally_matches_listed_involutions():
     for n in range(1, 9):
-        listed = list_involutions(n)
-        assert list(involutions._pairings(n)) == listed
-        want = Counter(len(s) for s in listed)
+        want = Counter(len(s) for s in list_involutions(n))
         assert dict(enumerate(involutions._pair_tally(n))) == want
 
 
@@ -125,12 +188,6 @@ def test_closed_form_fixed_count_formula():
         for r in range(n % 2, n + 1, 2):
             p = (n - r) // 2
             assert count_with_fixed(n, r) == closed_form_fixed_count(p, r)
-
-
-def test_counts_sum_to_telephone():
-    for n in range(1, 11):
-        total = sum(count_with_fixed(n, r) for r in range(n % 2, n + 1, 2))
-        assert total == TELEPHONE[n]
 
 
 # ---------------------------------------------------------------------------
