@@ -55,8 +55,10 @@ def build_basis(
     of the modes, computed once, here.
 
     Memoized: the census and recursion checks of one run share each basis.
-    beta must be hashable (a tuple).
+    beta must be hashable (a tuple); a coset outside the dual lattice raises
+    ValueError, since L + beta is then no module.
     """
+    beta = L.check_dual(beta)
     grade_max = Fraction(grade_max)
     if grade_max > GRADE_CAP:
         raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
@@ -157,11 +159,14 @@ def group_census_by_phase(L: EvenLattice, census: dict, a: Sequence) -> dict:
     floating point.
     """
     a = tuple(Fraction(x) for x in a)
+    phases: dict = {}  # point -> <a, m> mod 1, once per point
     out: dict = {}
     for grade, bucket in census.items():
         grouped: dict = {}
         for m, count in bucket.items():
-            phase = Fraction(L.inner(a, m)) % 1
+            phase = phases.get(m)
+            if phase is None:
+                phase = phases[m] = Fraction(L.inner(a, m)) % 1
             grouped[phase] = grouped.get(phase, 0) + count
         out[grade] = grouped
     return out
@@ -183,11 +188,23 @@ def s_function_trace(
 
     Every trace is a finite exact sum over the grade <= q_order basis, so
     coefficients are trusted through lattice grade q_order in q and the full
-    |k| <= x_span window in x.  One pass over the basis takes each state's
-    q-exponent once and applies every word of the x window to it.
+    |k| <= x_span window in x.  One pass over the basis sums the diagonal
+    entry of every word of the x window on each state.
+
+    Each entry is computed once per distinct argument: a word v1(k) v2(-k)
+    with k != 0 acts on the modes tuple alone, and the zero-mode word is the
+    scalar prod <v, m> on every state over m, so those entries are keyed by
+    (k, modes) and (0, m).  A reused entry is the very float it replaces,
+    and the basis is summed in the same order.
     """
     if len(vectors) not in (1, 2):
         raise ValueError("only one or two insertion vectors are supported")
+    if any(len(v) != L.dim for v in vectors):
+        raise ValueError(f"insertion vectors need {L.dim} coordinates")
+    if isinstance(x_span, bool) or not isinstance(x_span, int) or x_span < 0:
+        raise ValueError(f"x_span must be a nonnegative int, got {x_span!r}")
+    if isinstance(q_order, bool) or not isinstance(q_order, int) or q_order < 0:
+        raise ValueError(f"q_order must be a nonnegative int, got {q_order!r}")
     if len(vectors) == 1:
         x_span = 0  # tr v(0) q^{L(0)-d/24} does not depend on x
         words = [(0, [(vectors[0], 0)])]
@@ -198,11 +215,18 @@ def s_function_trace(
     basis = build_basis(L, beta, q_order)
     qden = math.lcm(24, *(g.denominator for g, _, _ in basis))
     shift = Fraction(L.dim, 24)
+    q_keys: dict = {}  # grade -> q exponent numerator
+    entries: dict = {}  # (k, modes) or (0, point) -> diagonal entry
     coeffs: dict = {}
     for g, m, modes in basis:
-        q_key = int((g - shift) * qden)
+        q_key = q_keys.get(g)
+        if q_key is None:
+            q_key = q_keys[g] = int((g - shift) * qden)
         for k, word in words:
-            val = diagonal_entry(L, word, m, modes)
+            key = (k, modes) if k else (0, m)
+            val = entries.get(key)
+            if val is None:
+                val = entries[key] = diagonal_entry(L, word, m, modes)
             if val:
                 coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
     q_top = int((Fraction(q_order) - shift) * qden)

@@ -360,7 +360,9 @@ class BiSeries:
     __rmul__ = __mul__
 
     def max_abs_diff(self, other: "BiSeries") -> float:
-        """Largest coefficient discrepancy on the common trusted window."""
+        """Largest coefficient discrepancy on the common trusted window;
+        math.inf if any compared difference is not finite (max() alone
+        would drop a NaN)."""
         a, b = self._aligned(other)
         x_lo, x_hi = max(a.x_min, b.x_min), min(a.x_max, b.x_max)
         q_hi = min(a.q_order, b.q_order)
@@ -368,7 +370,10 @@ class BiSeries:
         worst = 0.0
         for (j, m) in keys:
             if x_lo <= j <= x_hi and m <= q_hi:
-                worst = max(worst, abs(a.coeffs.get((j, m), 0j) - b.coeffs.get((j, m), 0j)))
+                d = abs(a.coeffs.get((j, m), 0j) - b.coeffs.get((j, m), 0j))
+                if not math.isfinite(d):
+                    return math.inf
+                worst = max(worst, d)
         return worst
 
     def eval_at(self, x: complex, tau: complex) -> complex:

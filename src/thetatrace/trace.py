@@ -271,8 +271,9 @@ def moment_series(
     makes this the plain coset theta series.  The grades are the exact
     half-norms of enumerate_vectors, and the q-denominator is the lcm of
     their denominators; terms are summed in the pairs' (sorted) order.
+    beta must be dual (ValueError otherwise).
     """
-    pairs = L.enumerate_vectors(beta, q_order)
+    pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
     den = math.lcm(*(h.denominator for _, h in pairs))
     coeffs: dict = {}
     for m, half in pairs:
@@ -312,10 +313,11 @@ def insertion_counts_by_grade(
 
     The count over m at grade g is the colored-partition number of
     g - <m,m>/2.  This is the exact-integer side of the Fock cross-check.
+    beta must be dual (ValueError otherwise).
     """
     osc = colored_partition_counts(L.dim, grade_max)
     out: dict = {}
-    for m, half in L.enumerate_vectors(beta, grade_max):
+    for m, half in L.enumerate_vectors(L.check_dual(beta), grade_max):
         for n in range(int(grade_max - half) + 1):
             out.setdefault(half + n, {})[m] = osc[n]
     return out

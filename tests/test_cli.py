@@ -81,6 +81,18 @@ def test_verify_main_theorem_a2_seed_22573_word_holdout(capsys):
     assert words["max_error"] < 1e-10
 
 
+def test_verify_all_a3_passes(capsys):
+    # the shipped rank-three lattice: A3, det 4, every suite in one run
+    assert load_lattice(str(LATTICE_DIR / "a3.json")).det == 4
+    code, rep = report_of(
+        ["verify", "all", "--lattice", str(LATTICE_DIR / "a3.json"), "--seed", "0"], capsys
+    )
+    assert code == 0
+    assert rep["lattice"] == "a3"
+    assert rep["overall"] == "pass"
+    assert all(check["status"] == "pass" for check in rep["checks"])
+
+
 def test_verify_deterministic_modulo_runtime(capsys):
     # main-theorem runs first on a cold fit memo, then on a warm one
     modular.fit_alpha.cache_clear()

@@ -1,8 +1,12 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from thetatrace import fock
+from thetatrace.cli import Q_ORDER, X_SPAN, _insertion_vectors
 from thetatrace.errors import CutoffTooLarge
 from thetatrace.fock import (
     apply_mode,
@@ -15,6 +19,7 @@ from thetatrace.fock import (
     verify_trace_recursion,
 )
 from thetatrace.lattice import EvenLattice
+from thetatrace.qseries import BiSeries
 from thetatrace.trace import colored_partition_counts, insertion_counts_by_grade
 
 L4 = EvenLattice(((4,),))
@@ -254,3 +259,157 @@ def test_two_point_recursion_a2():
 def test_recursion_rejects_bad_arity():
     with pytest.raises(ValueError):
         verify_trace_recursion(L4, (0,), [(1.0,), (1.0,), (1.0,)], 2, 3)
+
+
+def test_recursion_nan_insertion_fails():
+    # max() drops a NaN difference; the comparison must report it
+    rep = verify_trace_recursion(A2, A2.cosets[0], [(math.nan, 0.0)], 1, 2)
+    assert rep["max_error"] == math.inf
+
+
+@pytest.mark.parametrize("q_order", [-1, 2.5, True])
+def test_recursion_rejects_a_bad_q_order(q_order):
+    with pytest.raises(ValueError, match="q_order"):
+        verify_trace_recursion(A2, A2.cosets[0], [(1.0, 0.5), (0.6, 0.3)], 1, q_order)
+
+
+def test_recursion_rejects_a_q_order_above_the_cap():
+    with pytest.raises(CutoffTooLarge):
+        s_function_trace(A2, A2.cosets[0], [(1.0, 0.5)], 0, fock.GRADE_CAP + 1)
+
+
+@pytest.mark.parametrize("x_span", [1.5, -1])
+def test_recursion_rejects_a_bad_x_span(x_span):
+    with pytest.raises(ValueError, match="x_span"):
+        verify_trace_recursion(A2, A2.cosets[0], [(1.0, 0.5), (0.6, 0.3)], x_span, 2)
+
+
+@pytest.mark.parametrize("vectors", [[(1.0,)], [(1.0, 0.5), (0.6, 0.3, 0.1)]])
+def test_recursion_rejects_a_wrong_length_vector(vectors):
+    with pytest.raises(ValueError, match="coordinates"):
+        verify_trace_recursion(A2, A2.cosets[0], vectors, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# a coset outside the dual lattice is no module
+# ---------------------------------------------------------------------------
+
+# G beta = (2/7, -1/7) is not integral
+A2_NON_DUAL = (Fraction(1, 7), Fraction(0))
+
+
+def test_build_basis_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        build_basis(A2, A2_NON_DUAL, 2)
+
+
+def test_census_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        census_by_grade(L4, (Fraction(1, 5),), 4)
+
+
+def test_s_function_trace_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        s_function_trace(A2, A2_NON_DUAL, [(1.0, 0.5), (0.6, 0.3)], 1, 2)
+
+
+def test_recursion_rejects_a_coset_outside_the_dual():
+    # before the check this compared the trace of no module and passed
+    with pytest.raises(ValueError, match="dual"):
+        verify_trace_recursion(A2, A2_NON_DUAL, [(1.0, 0.5), (0.6, 0.3)], 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the per-call memo of diagonal entries
+# ---------------------------------------------------------------------------
+
+
+def per_state_trace(L, beta, vectors, x_span, q_order):
+    """s_function_trace as it was before the memo: every word of the x
+    window applied to every basis state, the q exponent taken per state."""
+    if len(vectors) == 1:
+        x_span = 0
+        words = [(0, [(vectors[0], 0)])]
+    else:
+        v1, v2 = vectors
+        words = [(k, [(v1, k), (v2, -k)]) for k in range(-x_span, x_span + 1)]
+    beta = tuple(Fraction(x) for x in beta)
+    basis = build_basis(L, beta, q_order)
+    qden = math.lcm(24, *(g.denominator for g, _, _ in basis))
+    shift = Fraction(L.dim, 24)
+    coeffs: dict = {}
+    for g, m, modes in basis:
+        q_key = int((g - shift) * qden)
+        for k, word in words:
+            val = diagonal_entry(L, word, m, modes)
+            if val:
+                coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
+    q_top = int((Fraction(q_order) - shift) * qden)
+    return BiSeries(-x_span, x_span, q_top, coeffs, qden, x_exact=False)
+
+
+MEMO_CASES = [
+    (L4, (Fraction(1, 4),)),
+    (A2, A2.cosets[0]),
+    (A2, A2.cosets[len(A2.cosets) // 2]),
+]
+
+
+@pytest.mark.parametrize("n_insertions", [1, 2])
+@pytest.mark.parametrize("L,beta", MEMO_CASES)
+def test_memo_matches_the_per_state_loop_exactly(L, beta, n_insertions):
+    vectors = list(_insertion_vectors(L.dim))[:n_insertions]
+    got = s_function_trace(L, beta, vectors, X_SPAN, Q_ORDER)
+    want = per_state_trace(L, beta, vectors, X_SPAN, Q_ORDER)
+    assert (got.x_min, got.x_max, got.q_order, got.q_denom) == (
+        want.x_min, want.x_max, want.q_order, want.q_denom
+    )
+    # same floats, summed in the same order: equal, not close
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+@pytest.mark.parametrize("n_insertions", [1, 2])
+def test_diagonal_entry_runs_once_per_distinct_key(monkeypatch, n_insertions):
+    beta = A2.cosets[0]
+    calls = Counter()
+    entry = fock.diagonal_entry
+
+    def counting_entry(L, word, point, modes):
+        k = word[0][1]
+        calls[(k, modes) if k else (0, point)] += 1
+        return entry(L, word, point, modes)
+
+    monkeypatch.setattr(fock, "diagonal_entry", counting_entry)
+    vectors = list(_insertion_vectors(A2.dim))[:n_insertions]
+    s_function_trace(A2, beta, vectors, X_SPAN, Q_ORDER)
+    basis = build_basis(A2, beta, Q_ORDER)
+    ks = range(-X_SPAN, X_SPAN + 1) if n_insertions == 2 else [0]
+    want = {(k, modes) for k in ks if k for _, _, modes in basis}
+    want |= {(0, m) for _, m, _ in basis}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) < len(basis) * len(ks)
+
+
+def test_diagonal_entries_depend_on_what_the_memo_keys():
+    """Over the whole a2 basis at Q_ORDER: a k != 0 entry is the same float
+    on every point that carries the modes tuple, and the zero-mode entry is
+    the same float on every modes tuple over the point."""
+    v1, v2 = _insertion_vectors(A2.dim)
+    for beta in A2.cosets:
+        basis = build_basis(A2, beta, Q_ORDER)
+        by_modes: dict = {}
+        by_point: dict = {}
+        for _, m, modes in basis:
+            for k in range(-X_SPAN, X_SPAN + 1):
+                val = diagonal_entry(A2, [(v1, k), (v2, -k)], m, modes)
+                bucket = by_modes if k else by_point
+                bucket.setdefault((k, modes) if k else m, set()).add(val)
+            by_point.setdefault(("one", m), set()).add(
+                diagonal_entry(A2, [(v1, 0)], m, modes)
+            )
+        assert all(len(vals) == 1 for vals in by_modes.values())
+        assert all(len(vals) == 1 for vals in by_point.values())
+        # the keys do merge states: the memo has work to save
+        assert len({modes for _, _, modes in basis}) < len(basis)
+        assert len({m for _, m, _ in basis}) < len(basis)

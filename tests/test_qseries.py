@@ -394,3 +394,14 @@ def test_biseries_max_abs_diff_ignores_outside_window():
     a = BiSeries(-2, 2, 4, {(1, 1): 1.0, (2, 1): 9.0})
     b = BiSeries(-1, 1, 4, {(1, 1): 1.5})
     assert a.max_abs_diff(b) == 0.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_biseries_max_abs_diff_reports_a_non_finite_difference(bad):
+    a = BiSeries(-1, 1, 4, {(0, 0): 1.0, (1, 1): bad})
+    b = BiSeries(-1, 1, 4, {(0, 0): 3.0, (1, 1): 1.0})
+    assert a.max_abs_diff(b) == math.inf
+    assert b.max_abs_diff(a) == math.inf
+    # outside the common window a NaN is not compared
+    c = BiSeries(-2, 2, 4, {(2, 1): bad})
+    assert c.max_abs_diff(b) == 3.0

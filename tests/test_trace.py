@@ -256,6 +256,21 @@ def test_z_trace_rejects_a_coset_outside_the_dual():
         z_trace(L4, (Fraction(1, 5),), TracePoint((0.1,), (0.05,), 0.1 + 1.1j))
 
 
+def test_moment_series_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        moment_series(L4, (Fraction(1, 5),), [(1.0,)], 4)
+
+
+def test_graded_trace_series_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        graded_trace_series(A2, (Fraction(1, 7), Fraction(0)), 4)
+
+
+def test_insertion_counts_reject_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        insertion_counts_by_grade(L4, (Fraction(1, 5),), 4)
+
+
 def test_theta_w_rejects_a_coset_outside_the_dual():
     with pytest.raises(ValueError, match="dual"):
         theta_w(L4, (Fraction(1, 5),), (0.1,), 0.1 + 1.1j)
