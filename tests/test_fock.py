@@ -273,11 +273,6 @@ def test_recursion_rejects_a_bad_q_order(q_order):
         verify_trace_recursion(A2, A2.cosets[0], [(1.0, 0.5), (0.6, 0.3)], 1, q_order)
 
 
-def test_recursion_rejects_a_q_order_above_the_cap():
-    with pytest.raises(CutoffTooLarge):
-        s_function_trace(A2, A2.cosets[0], [(1.0, 0.5)], 0, fock.GRADE_CAP + 1)
-
-
 @pytest.mark.parametrize("x_span", [1.5, -1])
 def test_recursion_rejects_a_bad_x_span(x_span):
     with pytest.raises(ValueError, match="x_span"):
