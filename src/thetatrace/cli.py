@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,8 @@ SUITES = ("special-functions", "theta-classical", "combinatorics", "npoint", "ma
 EXACT_TOL = 0.5  # exact integer checks report max_error 0 or 1
 N_POINTS = 20  # sample points of the special-function, theta and t-phase checks
 X_SPAN = 4  # x-exponent span of the two-insertion recursion checks
-Q_ORDER = 6  # q-order of the recursion checks
+Q_ORDER = 6  # q-order of the recursion checks and the censuses
+HALF = Fraction(1, 2)  # the nonzero theta characteristic
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,20 @@ class RunConfig:
         """The built-in rank-one lattice gets the sharp tolerances."""
         return self.lattice.gram == DEFAULT_GRAM
 
+    @cached_property
+    def censuses(self) -> list:
+        """(literal, closed-form) per-grade census of every coset through
+        grade Q_ORDER, built once per run for the two census checks."""
+        L = self.lattice
+        return [
+            (fock.census_by_grade(L, beta, Q_ORDER), insertion_counts_by_grade(L, beta, Q_ORDER))
+            for beta in L.cosets
+        ]
+
 
 def _mats():
     t, s = modular.T, modular.S
-    return [("S", s), ("T", t), ("TST", t * s * t)]
+    return [s, t, t * s * t]
 
 
 def _sample_taus(seed: int, count: int, im_lo: float = 0.6, for_laws: bool = False):
@@ -78,7 +90,7 @@ def _sample_taus(seed: int, count: int, im_lo: float = 0.6, for_laws: bool = Fal
     out = []
     while len(out) < count:
         tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(im_lo, 1.7))
-        if not for_laws or all(a.act_tau(tau).imag >= IM_TAU_FLOOR for _, a in _mats()):
+        if not for_laws or all(a.act_tau(tau).imag >= IM_TAU_FLOOR for a in _mats()):
             out.append(tau)
     return out
 
@@ -88,19 +100,21 @@ def _sample_taus(seed: int, count: int, im_lo: float = 0.6, for_laws: bool = Fal
 # ---------------------------------------------------------------------------
 
 
+def _eta_law(seed: int, image: Callable, factor: Callable) -> float:
+    """max |eta(image(tau)) - factor(tau) eta(tau)| over N_POINTS taus."""
+    return max(
+        abs(eta_eval(image(tau)) - factor(tau) * eta_eval(tau))
+        for tau in _sample_taus(seed, N_POINTS)
+    )
+
+
 def check_eta_shift(cfg: RunConfig) -> float:
     w = cmath.exp(1j * cmath.pi / 12)
-    return max(
-        abs(eta_eval(tau + 1) - w * eta_eval(tau))
-        for tau in _sample_taus(cfg.seed + 1, N_POINTS)
-    )
+    return _eta_law(cfg.seed + 1, lambda tau: tau + 1, lambda tau: w)
 
 
 def check_eta_inversion(cfg: RunConfig) -> float:
-    return max(
-        abs(eta_eval(-1 / tau) - cmath.sqrt(-1j * tau) * eta_eval(tau))
-        for tau in _sample_taus(cfg.seed + 2, N_POINTS)
-    )
+    return _eta_law(cfg.seed + 2, lambda tau: -1 / tau, lambda tau: cmath.sqrt(-1j * tau))
 
 
 def check_eta_series(cfg: RunConfig) -> float:
@@ -115,16 +129,21 @@ def check_g2_at_i(cfg: RunConfig) -> float:
     return abs(g2_eval(1j) - math.pi)
 
 
-def check_g2_law(cfg: RunConfig) -> float:
-    worst = 0.0
-    taus = _sample_taus(cfg.seed + 4, 8, for_laws=True)
-    for _, alpha in _mats():
+def _weight_two_law(fn: Callable, taus: list, rng, anomaly: bool) -> float:
+    """max |fn(z/j, alpha.tau) - j^2 fn(z, tau) [+ 2 pi i f j]| over _mats()
+    x taus, with j = f tau + d and the bracket present when anomaly is set.
+    Each (alpha, tau) draws its z from rng; without an rng, z = 0."""
+    worst, z = 0.0, 0j
+    for alpha in _mats():
         f, d = alpha.f, alpha.d
         for tau in taus:
+            if rng is not None:
+                z = rng.uniform(0.12, 0.88) + rng.uniform(-0.4, 0.4) * tau
             j = f * tau + d
-            lhs = g2_eval(alpha.act_tau(tau))
-            rhs = j * j * g2_eval(tau) - 2j * cmath.pi * f * j
-            worst = max(worst, abs(lhs - rhs))
+            rhs = j * j * fn(z, tau)
+            if anomaly:
+                rhs = rhs - 2j * cmath.pi * f * j
+            worst = max(worst, abs(fn(z / j, alpha.act_tau(tau)) - rhs))
     return worst
 
 
@@ -133,33 +152,19 @@ def _p2_full(z: complex, tau: complex) -> complex:
     return weierstrass_p(z, tau) + g2_eval(tau)
 
 
+def check_g2_law(cfg: RunConfig) -> float:
+    taus = _sample_taus(cfg.seed + 4, 8, for_laws=True)
+    return _weight_two_law(lambda z, tau: g2_eval(tau), taus, None, True)
+
+
 def check_weierstrass_law(cfg: RunConfig) -> float:
     rng = np.random.default_rng(cfg.seed + 5)
-    worst = 0.0
-    taus = _sample_taus(cfg.seed + 6, 6, for_laws=True)
-    for _, alpha in _mats():
-        f, d = alpha.f, alpha.d
-        for tau in taus:
-            z = rng.uniform(0.12, 0.88) + rng.uniform(-0.4, 0.4) * tau
-            j = f * tau + d
-            lhs = weierstrass_p(z / j, alpha.act_tau(tau))
-            worst = max(worst, abs(lhs - j * j * weierstrass_p(z, tau)))
-    return worst
+    return _weight_two_law(weierstrass_p, _sample_taus(cfg.seed + 6, 6, for_laws=True), rng, False)
 
 
 def check_p2_law(cfg: RunConfig) -> float:
     rng = np.random.default_rng(cfg.seed + 7)
-    worst = 0.0
-    taus = _sample_taus(cfg.seed + 8, 6, for_laws=True)
-    for _, alpha in _mats():
-        f, d = alpha.f, alpha.d
-        for tau in taus:
-            z = rng.uniform(0.12, 0.88) + rng.uniform(-0.4, 0.4) * tau
-            j = f * tau + d
-            lhs = _p2_full(z / j, alpha.act_tau(tau))
-            rhs = j * j * _p2_full(z, tau) - 2j * cmath.pi * f * j
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    return _weight_two_law(_p2_full, _sample_taus(cfg.seed + 8, 6, for_laws=True), rng, True)
 
 
 def check_p2_annulus(cfg: RunConfig) -> float:
@@ -176,41 +181,41 @@ def check_p2_annulus(cfg: RunConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_theta_inversion_table(cfg: RunConfig) -> float:
-    rng = np.random.default_rng(cfg.seed + 11)
-    half = Fraction(1, 2)
+def _theta_table(seed: int, gap: Callable) -> float:
+    """max |gap(h, k, z, tau)| over N_POINTS draws of (tau, z) and the four
+    characteristics h, k in {0, 1/2}."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(N_POINTS):
         tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 1.7))
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        front = cmath.sqrt(-1j * tau) * cmath.exp(1j * cmath.pi * z * z / tau)
-        for h in (0, half):
-            for k in (0, half):
-                lhs = jacobi_theta(h, k, z / tau, -1 / tau)
-                rhs = theta_s_constant(h, k) * front * jacobi_theta(k, h, z, tau)
-                worst = max(worst, abs(lhs - rhs))
+        for h in (0, HALF):
+            for k in (0, HALF):
+                worst = max(worst, abs(gap(h, k, z, tau)))
     return worst
 
 
-def check_theta_shift_table(cfg: RunConfig) -> float:
+def _theta_inversion_gap(h, k, z: complex, tau: complex) -> complex:
+    front = cmath.sqrt(-1j * tau) * cmath.exp(1j * cmath.pi * z * z / tau)
+    rhs = theta_s_constant(h, k) * front * jacobi_theta(k, h, z, tau)
+    return jacobi_theta(h, k, z / tau, -1 / tau) - rhs
+
+
+def _theta_shift_gap(h, k, z: complex, tau: complex) -> complex:
     """tau -> tau+1 sends theta_{h,k} to e^{pi i h(1-h)} theta_{h,h+k-1/2}
     in characteristic conventions; verified here in the equivalent direct
     form theta_{h,k}(z, tau+1) = e^{pi i h^2} theta_{h,k'}(z, tau) with
     k' = k + h - 1/2 reduced mod 1 into {0, 1/2}."""
-    rng = np.random.default_rng(cfg.seed + 12)
-    half = Fraction(1, 2)
-    worst = 0.0
-    for _ in range(N_POINTS):
-        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 1.7))
-        z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        for h in (0, half):
-            for k in (0, half):
-                lhs = jacobi_theta(h, k, z, tau + 1)
-                kp = (k + h + half) % 1
-                phase = cmath.exp(1j * cmath.pi * float(h) ** 2)
-                rhs = phase * jacobi_theta(h, kp, z, tau)
-                worst = max(worst, abs(lhs - rhs))
-    return worst
+    phase = cmath.exp(1j * cmath.pi * float(h) ** 2)
+    return jacobi_theta(h, k, z, tau + 1) - phase * jacobi_theta(h, (k + h + HALF) % 1, z, tau)
+
+
+def check_theta_inversion_table(cfg: RunConfig) -> float:
+    return _theta_table(cfg.seed + 11, _theta_inversion_gap)
+
+
+def check_theta_shift_table(cfg: RunConfig) -> float:
+    return _theta_table(cfg.seed + 12, _theta_shift_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -282,45 +287,38 @@ def _insertion_vectors(dim: int) -> Tuple[tuple, tuple]:
     return v1, v2
 
 
-def check_recursion_one(cfg: RunConfig) -> float:
+def _recursion(cfg: RunConfig, n_insertions: int, coset_index: int) -> float:
+    """The trace recursion on one coset with the first n_insertions vectors."""
     L = cfg.lattice
-    v1, _ = _insertion_vectors(L.dim)
-    rep = fock.verify_trace_recursion(L, L.cosets[0], [v1], 1, Q_ORDER)
+    vectors = list(_insertion_vectors(L.dim)[:n_insertions])
+    rep = fock.verify_trace_recursion(L, L.cosets[coset_index], vectors, X_SPAN, Q_ORDER)
     return rep["max_error"]
+
+
+def check_recursion_one(cfg: RunConfig) -> float:
+    return _recursion(cfg, 1, 0)
 
 
 def check_recursion_two_first(cfg: RunConfig) -> float:
-    L = cfg.lattice
-    v1, v2 = _insertion_vectors(L.dim)
-    rep = fock.verify_trace_recursion(L, L.cosets[0], [v1, v2], X_SPAN, Q_ORDER)
-    return rep["max_error"]
+    return _recursion(cfg, 2, 0)
 
 
 def check_recursion_two_mid(cfg: RunConfig) -> float:
-    L = cfg.lattice
-    v1, v2 = _insertion_vectors(L.dim)
-    beta = L.cosets[len(L.cosets) // 2]
-    rep = fock.verify_trace_recursion(L, beta, [v1, v2], X_SPAN, Q_ORDER)
-    return rep["max_error"]
+    return _recursion(cfg, 2, len(cfg.lattice.cosets) // 2)
 
 
 def check_fock_census(cfg: RunConfig) -> float:
-    L = cfg.lattice
-    for beta in L.cosets:
-        if fock.census_by_grade(L, beta, 6) != insertion_counts_by_grade(L, beta, 6):
-            return 1.0
-    return 0.0
+    return 0.0 if all(lit == closed for lit, closed in cfg.censuses) else 1.0
 
 
 def check_fock_phase_census(cfg: RunConfig) -> float:
     L = cfg.lattice
     a = tuple(Fraction(1, i + 3) for i in range(L.dim))
-    for beta in L.cosets:
-        lit = fock.group_census_by_phase(L, fock.census_by_grade(L, beta, 6), a)
-        closed = fock.group_census_by_phase(L, insertion_counts_by_grade(L, beta, 6), a)
-        if lit != closed:
-            return 1.0
-    return 0.0
+
+    def by_phase(census):
+        return fock.group_census_by_phase(L, census, a)
+
+    return 0.0 if all(by_phase(lit) == by_phase(closed) for lit, closed in cfg.censuses) else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +335,22 @@ def check_t_phase(cfg: RunConfig) -> float:
     return float(np.max(np.abs(lhs - phases * z_table(L, shifted))))
 
 
+def _fit_gap(cfg: RunConfig, alpha, target: Callable) -> float:
+    """Largest entry of |A(alpha) - target(L)| for the run's fit of alpha."""
+    a, _ = modular.fit_alpha(cfg.lattice, alpha, cfg.seed)
+    return float(np.max(np.abs(a - target(cfg.lattice))))
+
+
+def _holdout(L: EvenLattice, alpha, seed: int) -> float:
+    return modular.fit_and_verify(L, alpha, seed)[1]["max_error"]
+
+
 def check_fit_t_diagonal(cfg: RunConfig) -> float:
-    a, _ = modular.fit_alpha(cfg.lattice, modular.T, cfg.seed)
-    gap = np.abs(a - modular.t_matrix_prediction(cfg.lattice))
-    return float(np.max(gap))
+    return _fit_gap(cfg, modular.T, modular.t_matrix_prediction)
 
 
 def check_holdout_t(cfg: RunConfig) -> float:
-    _, rep = modular.fit_and_verify(cfg.lattice, modular.T, cfg.seed)
-    return rep["max_error"]
+    return _holdout(cfg.lattice, modular.T, cfg.seed)
 
 
 def check_fit_s_moduli(cfg: RunConfig) -> float:
@@ -355,20 +360,15 @@ def check_fit_s_moduli(cfg: RunConfig) -> float:
 
 
 def check_fit_s_oracle(cfg: RunConfig) -> float:
-    a, _ = modular.fit_alpha(cfg.lattice, modular.S, cfg.seed)
-    gap = np.abs(a - modular.s_matrix_prediction(cfg.lattice))
-    return float(np.max(gap))
+    return _fit_gap(cfg, modular.S, modular.s_matrix_prediction)
 
 
 def check_holdout_s(cfg: RunConfig) -> float:
-    _, rep = modular.fit_and_verify(cfg.lattice, modular.S, cfg.seed)
-    return rep["max_error"]
+    return _holdout(cfg.lattice, modular.S, cfg.seed)
 
 
 def check_fit_identity(cfg: RunConfig) -> float:
-    a, _ = modular.fit_alpha(cfg.lattice, modular.IDENTITY, cfg.seed)
-    m = len(cfg.lattice.cosets)
-    return float(np.max(np.abs(a - np.eye(m))))
+    return _fit_gap(cfg, modular.IDENTITY, lambda L: np.eye(len(L.cosets)))
 
 
 def _cocycle(cfg: RunConfig, a, b) -> float:
@@ -390,9 +390,7 @@ def check_cocycle_ss(cfg: RunConfig) -> float:
 def check_random_words(cfg: RunConfig) -> float:
     worst = 0.0
     for word in modular.random_words(5, 6, cfg.seed + 19):
-        alpha = modular.word_to_matrix(word)
-        _, rep = modular.fit_and_verify(cfg.lattice, alpha, cfg.seed + 23)
-        worst = max(worst, rep["max_error"])
+        worst = max(worst, _holdout(cfg.lattice, modular.word_to_matrix(word), cfg.seed + 23))
     return worst
 
 
@@ -410,8 +408,7 @@ def check_word_roundtrip(cfg: RunConfig) -> float:
 # suite assembly
 # ---------------------------------------------------------------------------
 
-Check = Tuple[str, Callable[[RunConfig], float], float, float]
-# (name, function, tight tolerance, generic tolerance)
+# suite -> [(name, check, tight tolerance, generic tolerance)]
 
 SUITE_CHECKS = {
     "special-functions": [
@@ -488,11 +485,11 @@ def run_suite(suite: str, cfg: RunConfig) -> dict:
         names = [suite]
     else:
         raise ConfigError(f"unknown suite {suite!r}")
-    work: List[Tuple[str, Callable, float]] = []
-    for s in names:
-        for name, fn, tight_tol, generic_tol in SUITE_CHECKS[s]:
-            work.append((name, fn, tight_tol if cfg.tight else generic_tol))
-    checks = [_run_check(n, f, t, cfg) for n, f, t in work]
+    checks = [
+        _run_check(name, fn, tight_tol if cfg.tight else generic_tol, cfg)
+        for s in names
+        for name, fn, tight_tol, generic_tol in SUITE_CHECKS[s]
+    ]
     overall = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {
         "schema": 1,

@@ -24,12 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .errors import CutoffTooLarge
 from .lattice import EvenLattice
-from .qseries import TWO_PI_I, BiSeries, p2_series
+from .qseries import GRADE_CAP, TWO_PI_I, BiSeries, p2_series, require_grade
 from .trace import graded_trace_series, state_pairing
-
-GRADE_CAP = 60
 
 
 def _colored_multisets(budget: int, dims: int):
@@ -56,12 +53,12 @@ def build_basis(
 
     Memoized: the census and recursion checks of one run share each basis.
     beta must be hashable (a tuple); a coset outside the dual lattice raises
-    ValueError, since L + beta is then no module.
+    ValueError, since L + beta is then no module.  A grade_max above
+    GRADE_CAP raises CutoffTooLarge.
     """
     beta = L.check_dual(beta)
     grade_max = Fraction(grade_max)
-    if grade_max > GRADE_CAP:
-        raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
+    require_grade(grade_max)
     states = []
     for m, base in L.enumerate_vectors(beta, grade_max):
         for modes in _colored_multisets(int(grade_max - base), L.dim):

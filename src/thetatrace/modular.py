@@ -243,7 +243,7 @@ def fit_transition(
     x, *_ = np.linalg.lstsq(rhs, lhs, rcond=None)
     a = x.T
     a.flags.writeable = False
-    residual = float(np.max(np.abs(rhs @ x - lhs))) if len(samples) else 0.0
+    residual = float(np.max(np.abs(rhs @ x - lhs)))
     return a, residual
 
 

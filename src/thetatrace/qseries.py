@@ -49,10 +49,19 @@ _MAX_TERMS = 200_000
 # weierstrass_p refuses z this close to a period lattice point.
 POLE_RADIUS = 1e-8
 
+# Graded module censuses and traces, literal or closed-form, refuse an
+# L(0)-grade cutoff above this.
+GRADE_CAP = 60
+
 
 def require_im(tau: complex, floor: float = IM_TAU_FLOOR) -> None:
     if tau.imag < floor:
         raise ImTooSmall(f"Im(tau) = {tau.imag} is below the floor {floor}")
+
+
+def require_grade(grade_max) -> None:
+    if grade_max > GRADE_CAP:
+        raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
 
 
 def q_power(tau: complex, exponent) -> complex:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import TailBoundViolated
 from .lattice import EvenLattice
-from .qseries import IM_TAU_FLOOR, TWO_PI_I, BiSeries, eta_eval, require_im
+from .qseries import IM_TAU_FLOOR, TWO_PI_I, BiSeries, eta_eval, require_grade, require_im
 
 # <a(-1)1, b(-1)1> = PAIRING_SIGN * <a, b>_lattice for weight-one elements.
 PAIRING_SIGN = -1
@@ -271,8 +271,10 @@ def moment_series(
     makes this the plain coset theta series.  The grades are the exact
     half-norms of enumerate_vectors, and the q-denominator is the lcm of
     their denominators; terms are summed in the pairs' (sorted) order.
-    beta must be dual (ValueError otherwise).
+    beta must be dual (ValueError otherwise); q_order above GRADE_CAP raises
+    CutoffTooLarge.
     """
+    require_grade(q_order)
     pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
     den = math.lcm(*(h.denominator for _, h in pairs))
     coeffs: dict = {}
@@ -295,7 +297,9 @@ def graded_trace_series(
     Zero modes are constant on oscillator towers, so the trace factors into
     the weighted coset sum times eta^-d = q^{-d/24} prod (1-q^n)^-d.  Half
     norms are >= 0, so the product is trusted through q^{q_order - d/24}.
+    q_order above GRADE_CAP raises CutoffTooLarge.
     """
+    require_grade(q_order)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
     eta_inv = BiSeries(
@@ -313,8 +317,10 @@ def insertion_counts_by_grade(
 
     The count over m at grade g is the colored-partition number of
     g - <m,m>/2.  This is the exact-integer side of the Fock cross-check.
-    beta must be dual (ValueError otherwise).
+    beta must be dual (ValueError otherwise); grade_max above GRADE_CAP
+    raises CutoffTooLarge.
     """
+    require_grade(grade_max)
     osc = colored_partition_counts(L.dim, grade_max)
     out: dict = {}
     for m, half in L.enumerate_vectors(L.check_dual(beta), grade_max):

@@ -93,6 +93,53 @@ def test_verify_all_a3_passes(capsys):
     assert all(check["status"] == "pass" for check in rep["checks"])
 
 
+LAYOUT_HEAD = [
+    ("eta-shift", 1e-12),
+    ("eta-inversion", 1e-12),
+    ("eta-series-consistency", 1e-12),
+    ("g2-at-i", 1e-12),
+    ("g2-transformation", 1e-9),
+    ("weierstrass-transformation", 1e-9),
+    ("p2-transformation", 1e-9),
+    ("p2-annulus-consistency", 1e-9),
+    ("theta-inversion-table", 1e-10),
+    ("theta-shift-table", 1e-10),
+    ("involution-recurrence", 0.5),
+    ("fixed-point-counts", 0.5),
+    ("decomposition-products", 0.5),
+    ("sign-lemma", 0.5),
+    ("multinomial-identity", 0.5),
+    ("exponential-regroup", 0.5),
+    ("recursion-one-insertion", 1e-9),
+    ("recursion-two-insertions-first-coset", 1e-9),
+    ("recursion-two-insertions-mid-coset", 1e-9),
+    ("fock-census", 0.5),
+    ("fock-phase-census", 0.5),
+]
+MAIN_THEOREM_NAMES = [
+    "t-phase-identity", "fit-t-diagonal", "holdout-t", "fit-s-moduli", "fit-s-oracle",
+    "holdout-s", "fit-identity", "cocycle-st", "cocycle-ts", "cocycle-ss",
+    "random-words-holdout", "word-decomposition-roundtrip",
+]
+# the built-in norm-4 lattice gets the sharp main-theorem tolerances
+MAIN_THEOREM_TOLS = {
+    "norm4": [1e-12, 1e-10, 1e-10, 1e-8, 1e-8, 1e-8, 1e-10, 1e-7, 1e-7, 1e-7, 1e-7, 0.5],
+    "a2": [1e-7] * 11 + [0.5],
+}
+
+
+@pytest.mark.parametrize("lattice", ["norm4", "a2"])
+def test_verify_all_layout(lattice, capsys):
+    args = ["verify", "all", "--seed", "0"]
+    if lattice == "a2":
+        args += ["--lattice", str(LATTICE_DIR / "a2.json")]
+    code, rep = report_of(args, capsys)
+    assert code == 0 and rep["overall"] == "pass"
+    layout = [(c["name"], c["tolerance"]) for c in rep["checks"]]
+    main = list(zip(MAIN_THEOREM_NAMES, MAIN_THEOREM_TOLS[lattice]))
+    assert layout == LAYOUT_HEAD + main
+
+
 def test_verify_deterministic_modulo_runtime(capsys):
     # main-theorem runs first on a cold fit memo, then on a warm one
     modular.fit_alpha.cache_clear()
@@ -135,9 +182,26 @@ def test_npoint_builds_each_fock_basis_once():
     L = load_lattice(str(LATTICE_DIR / "a2.json"))
     cfg = cli.RunConfig(lattice=L, lattice_label="a2", seed=0)
     assert cli.run_suite("npoint", cfg)["overall"] == "pass"
-    # three recursion checks and two censuses over three cosets, three bases
+    # three recursion checks (two lookups each) and one census per coset
     info = fock.build_basis.cache_info()
-    assert (info.misses, info.hits) == (3, 9)
+    assert (info.misses, info.hits) == (3, 6)
+
+
+def test_npoint_builds_each_census_once(monkeypatch):
+    built = []
+
+    def counting(side, census):
+        return lambda L, beta, g: built.append((side, beta)) or census(L, beta, g)
+
+    monkeypatch.setattr(fock, "census_by_grade", counting("fock", fock.census_by_grade))
+    monkeypatch.setattr(
+        cli, "insertion_counts_by_grade", counting("closed", cli.insertion_counts_by_grade)
+    )
+    L = load_lattice(str(LATTICE_DIR / "a2.json"))
+    cfg = cli.RunConfig(lattice=L, lattice_label="a2", seed=0)
+    assert cli.run_suite("npoint", cfg)["overall"] == "pass"
+    # fock-census and fock-phase-census share one census of each coset
+    assert sorted(built) == sorted((side, b) for side in ("fock", "closed") for b in L.cosets)
 
 
 def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thetatrace import fock
+from thetatrace import fock, qseries
 from thetatrace.cli import Q_ORDER, X_SPAN, _insertion_vectors
 from thetatrace.errors import CutoffTooLarge
 from thetatrace.fock import (
@@ -77,6 +77,8 @@ def test_build_basis_sorted_and_capped():
     assert len(states) == len(set(states))
     with pytest.raises(CutoffTooLarge):
         build_basis(L4, (0,), 100)
+    # one cap for both sides of the census cross-check
+    assert fock.GRADE_CAP == qseries.GRADE_CAP == 60
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from thetatrace import trace
-from thetatrace.errors import ImTooSmall, TailBoundViolated
+from thetatrace.errors import CutoffTooLarge, ImTooSmall, TailBoundViolated
 from thetatrace.lattice import EvenLattice
-from thetatrace.qseries import eta_eval, jacobi_theta
+from thetatrace.qseries import GRADE_CAP, eta_eval, jacobi_theta
 from thetatrace.trace import (
     TRACE_RTOL,
     TracePoint,
@@ -269,6 +269,33 @@ def test_graded_trace_series_rejects_a_coset_outside_the_dual():
 def test_insertion_counts_reject_a_coset_outside_the_dual():
     with pytest.raises(ValueError, match="dual"):
         insertion_counts_by_grade(L4, (Fraction(1, 5),), 4)
+
+
+def _refuse_enumeration(monkeypatch):
+    def boom(*args):
+        raise AssertionError("enumerated above the grade cap")
+
+    monkeypatch.setattr(EvenLattice, "enumerate_vectors", boom)
+    monkeypatch.setattr(trace, "colored_partition_counts", boom)
+
+
+def test_insertion_counts_refuse_a_grade_above_the_cap(monkeypatch):
+    assert max(insertion_counts_by_grade(L4, (0,), GRADE_CAP)) == GRADE_CAP
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(CutoffTooLarge):
+        insertion_counts_by_grade(L4, (0,), GRADE_CAP + 1)
+
+
+def test_moment_series_refuses_a_grade_above_the_cap(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(CutoffTooLarge):
+        moment_series(L4, (0,), [(1.0,)], GRADE_CAP + 1)
+
+
+def test_graded_trace_series_refuses_a_grade_above_the_cap(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(CutoffTooLarge):
+        graded_trace_series(A2, A2.cosets[1], GRADE_CAP + 1)
 
 
 def test_theta_w_rejects_a_coset_outside_the_dual():
