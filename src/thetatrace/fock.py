@@ -26,7 +26,7 @@ from typing import Dict, Sequence, Tuple
 
 from .lattice import EvenLattice
 from .qseries import GRADE_CAP, TWO_PI_I, BiSeries, p2_series, require_grade
-from .trace import graded_trace_series, state_pairing
+from .trace import _graded_traces, state_pairing
 
 
 def _colored_multisets(budget: int, dims: int):
@@ -247,12 +247,15 @@ def verify_trace_recursion(
     """
     beta = tuple(Fraction(x) for x in beta)
     lhs = s_function_trace(L, beta, vectors, x_span, q_order)
-    rhs = graded_trace_series(L, beta, q_order, weights=list(vectors))
     if len(vectors) == 2:
+        # the weighted and the plain trace share one enumeration of L + beta
+        rhs, plain = _graded_traces(L, beta, q_order, [list(vectors), ()])
         v1, v2 = vectors
         pairing = state_pairing(L, [-complex(x) for x in v1], v2)
         kernel = p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2)
-        rhs = rhs + kernel * graded_trace_series(L, beta, q_order)
+        rhs = rhs + kernel * plain
+    else:
+        (rhs,) = _graded_traces(L, beta, q_order, [list(vectors)])
     err = lhs.max_abs_diff(rhs)
     return {
         "max_error": err,

@@ -2,17 +2,17 @@
 
 An involution of {1..n} is its sorted tuple of 2-cycles (i, j) with i < j;
 every other letter is fixed, and the empty tuple is the identity.
-Everything here is integer or rational arithmetic: enumeration of those
-pair tuples, counts by number of fixed points, ordered decompositions into
-disjoint fixed-point-free factors, the alternating-sign sum over those
+Everything here is integer arithmetic: enumeration of those pair tuples,
+counts by number of fixed points, ordered decompositions into disjoint
+fixed-point-free factors, the alternating-sign sum over those
 decompositions, and the regrouping identity that packages all of it into an
-exponential.  No floats enter this module.
+exponential, its rational equalities compared as integer cross-products.
+No floats enter this module.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, List, Sequence, Tuple
@@ -36,6 +36,13 @@ def _sorted_pairs(pairs: Sequence) -> tuple:
     return out
 
 
+def _check_n(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise NTooLarge(f"n must be an int, got {n!r}")
+    if not (1 <= n <= N_CAP):
+        raise NTooLarge(f"need 1 <= n <= {N_CAP}, got {n}")
+
+
 def _walk(n: int, leaf: Callable[[List[Tuple[int, int]]], None]) -> None:
     """Call leaf once at every involution of {1..n}, identity first.
 
@@ -43,29 +50,30 @@ def _walk(n: int, leaf: Callable[[List[Tuple[int, int]]], None]) -> None:
     i < j, sorted; it must copy what it keeps.  Bit k-1 of the mask is set
     while letter k is unplaced.  The lowest unplaced letter is fixed first,
     then paired with each higher unplaced letter in turn, each pair pushed
-    before the recursive call and popped after it.
+    before the recursive call and popped after it.  A last unplaced letter
+    can only be fixed, so it reaches the leaf without a further call.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise NTooLarge(f"n must be an int, got {n!r}")
-    if not (1 <= n <= N_CAP):
-        raise NTooLarge(f"need 1 <= n <= {N_CAP}, got {n}")
+    _check_n(n)
     stack: List[Tuple[int, int]] = []
     push, pop = stack.append, stack.pop
 
     def rec(unplaced: int) -> None:
-        if not unplaced:
-            leaf(stack)
-            return
         low = unplaced & -unplaced
         first = low.bit_length()
         rest = unplaced ^ low
+        if not rest:
+            leaf(stack)  # fix first, the last unplaced letter
+            return
         rec(rest)  # fix first
         others = rest
         while others:
             bit = others & -others
             others ^= bit
             push((first, bit.bit_length()))
-            rec(rest ^ bit)
+            if rest ^ bit:
+                rec(rest ^ bit)
+            else:
+                leaf(stack)
             pop()
 
     try:
@@ -74,8 +82,8 @@ def _walk(n: int, leaf: Callable[[List[Tuple[int, int]]], None]) -> None:
         rec = None  # rec refers to itself: break the cycle so leaf is freed now
 
 
-# typed, here and on _pair_tally: 6.0 or True must reach _walk's type check,
-# not the entry cached for 6 or 1
+# typed: 6.0 or True must reach _walk's type check, not the entry cached
+# for 6 or 1
 @lru_cache(maxsize=None, typed=True)
 def _all_involutions(n: int) -> tuple:
     out: List[tuple] = []
@@ -89,17 +97,30 @@ def list_involutions(n: int) -> List[tuple]:
     return list(_all_involutions(n))
 
 
-@lru_cache(maxsize=None, typed=True)
-def _pair_tally(n: int) -> tuple:
-    """counts[p] = number of involutions of {1..n} with p pairs, tallied in
-    one walk over them, building no pair tuple."""
-    counts = [0] * (N_CAP // 2 + 1)
+@lru_cache(maxsize=None)
+def _lowest_letter_tally() -> tuple:
+    """rows[k][p] = number of involutions of {1..N_CAP} with p pairs whose
+    lowest moved letter is k (N_CAP + 1 for the identity), tallied in one
+    walk over them, building no pair tuple."""
+    rows = [[0] * (N_CAP // 2 + 1) for _ in range(N_CAP + 2)]
 
     def leaf(stack: list) -> None:
-        counts[len(stack)] += 1
+        rows[stack[0][0] if stack else N_CAP + 1][len(stack)] += 1
 
-    _walk(n, leaf)
-    return tuple(counts[: n // 2 + 1])
+    _walk(N_CAP, leaf)
+    return tuple(map(tuple, rows))
+
+
+def _pair_tally(n: int) -> tuple:
+    """counts[p] = number of involutions of {1..n} with p pairs.
+
+    Shifting letters up by N_CAP - n maps them one to one onto the
+    involutions of {1..N_CAP} that fix 1..N_CAP - n, which are those whose
+    lowest moved letter is above N_CAP - n: their rows of the one tally.
+    """
+    _check_n(n)
+    rows = _lowest_letter_tally()[N_CAP - n + 1 :]
+    return tuple(sum(row[p] for row in rows) for p in range(n // 2 + 1))
 
 
 def count_with_fixed(n: int, r: int) -> int:
@@ -140,8 +161,7 @@ def _ordered_set_partitions(items: Sequence):
     items.
     """
     for part in _unordered_partitions(items):
-        for perm in permutations(part):
-            yield tuple(tuple(b) for b in perm)
+        yield from permutations([tuple(b) for b in part])
 
 
 def enumerate_decompositions(pairs: Sequence) -> List[Tuple[tuple, ...]]:
@@ -196,21 +216,17 @@ def verify_multinomial_identity(p: int, r: int) -> bool:
 
     (1/(r+2p)!) C(r+2p, r) (2p)!/(p! 2^p)  ==  (1/(r+p)!) C(r+p, r) / 2^p,
 
-    both sides being 1/(r! p! 2^p).
+    both sides being 1/(r! p! 2^p).  Each side is a ratio of positive
+    integers, and the ratios are compared as integer cross-products.
     """
     if min(p, r) < 0:
         raise ValueError("p and r must be nonnegative")
-    lhs = (
-        Fraction(1, math.factorial(r + 2 * p))
-        * math.comb(r + 2 * p, r)
-        * Fraction(math.factorial(2 * p), math.factorial(p) * 2**p)
-    )
-    rhs = (
-        Fraction(1, math.factorial(r + p))
-        * math.comb(r + p, r)
-        * Fraction(1, 2**p)
-    )
-    return lhs == rhs == Fraction(1, math.factorial(r) * math.factorial(p) * 2**p)
+    lhs_num = math.comb(r + 2 * p, r) * math.factorial(2 * p)
+    lhs_den = math.factorial(r + 2 * p) * math.factorial(p) * 2**p
+    rhs_num = math.comb(r + p, r)
+    rhs_den = math.factorial(r + p) * 2**p
+    common_den = math.factorial(r) * math.factorial(p) * 2**p
+    return lhs_num * rhs_den == rhs_num * lhs_den and rhs_num * common_den == rhs_den
 
 
 def exponential_regroup_check(p_max: int, r_max: int) -> dict:
@@ -221,11 +237,12 @@ def exponential_regroup_check(p_max: int, r_max: int) -> dict:
         sum_n (1/n!) sum_{sigma in I(n)} c^(pairs) X^(fixed)
             ==  exp(c/2 + X),
 
-    as exact rationals on every monomial c^p X^r with p <= p_max and
-    r <= r_max.  The coefficient on the left receives contributions only
-    from n = 2p + r; it is taken from literal enumeration while n <= 12 and
-    from the pairing count C(n,r)(2p)!/(p! 2^p) beyond that (the two are
-    checked equal on the overlap).
+    exactly on every monomial c^p X^r with p <= p_max and r <= r_max, as
+    the integer cross-product count * p! 2^p r! == n!.  The coefficient
+    count/n! on the left receives contributions only from n = 2p + r; count
+    is taken from literal enumeration while n <= 12 and from the pairing
+    count C(n,r)(2p)!/(p! 2^p) beyond that (the two are checked equal on
+    the overlap).
     """
     if not (0 <= p_max <= 20 and 0 <= r_max <= 20):
         raise BoundTooLarge("regroup bounds must lie in [0, 20]")
@@ -241,10 +258,8 @@ def exponential_regroup_check(p_max: int, r_max: int) -> dict:
                         "equal": False,
                         "first_mismatch": {"p": p, "r": r, "enumerated": enum, "closed_form": count},
                     }
-            lhs = Fraction(count, math.factorial(n))
-            rhs = Fraction(1, math.factorial(p) * 2**p) * Fraction(1, math.factorial(r))
             checked += 1
-            if lhs != rhs:
+            if count * math.factorial(p) * 2**p * math.factorial(r) != math.factorial(n):
                 return {"equal": False, "first_mismatch": {"p": p, "r": r}}
     return {
         "equal": True,

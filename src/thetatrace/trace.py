@@ -148,16 +148,17 @@ def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list
         if len(batch) > 1:
             return _split(L, beta, batch)
         raise TailBoundViolated(f"tail cushion cannot cover {count} enumerated points")
+    beta_f = [float(x) for x in beta]
     if len(batch) > 1:
         for center, r2, *_ in batch:
             # the coordinatewise rounding of the center settles almost
             # every point; the rest enumerate their own ball alone
-            near = [float(x) + round(c - float(x)) - c for x, c in zip(beta, center)]
+            near = [x + round(c - x) - c for x, c in zip(beta_f, center)]
             if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, center, r2)[0]:
                 raise TailBoundViolated("empty enumeration ball for the trace sum")
     # every temporary is a (d, N) or length-N array
     m = np.array(cols, dtype=float)
-    m += np.array([float(x) for x in beta])[:, None]
+    m += np.array(beta_f)[:, None]
     gm = np.array(L.gram, dtype=float) @ m
     mm = (gm * m).sum(axis=0)
     gm = gm + 0j
@@ -276,6 +277,11 @@ def moment_series(
     """
     require_grade(q_order)
     pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
+    return _moments(L, pairs, weights, q_order)
+
+
+def _moments(L: EvenLattice, pairs: list, weights: Sequence[Sequence], q_order: int) -> BiSeries:
+    """moment_series over the (point, half-norm) pairs of one enumeration."""
     den = math.lcm(*(h.denominator for _, h in pairs))
     coeffs: dict = {}
     for m, half in pairs:
@@ -299,6 +305,14 @@ def graded_trace_series(
     norms are >= 0, so the product is trusted through q^{q_order - d/24}.
     q_order above GRADE_CAP raises CutoffTooLarge.
     """
+    return _graded_traces(L, beta, q_order, [weights])[0]
+
+
+def _graded_traces(
+    L: EvenLattice, beta: Sequence, q_order: int, weight_lists: Sequence[Sequence[Sequence]]
+) -> list:
+    """graded_trace_series for each weights of weight_lists, all from one
+    enumeration of L + beta."""
     require_grade(q_order)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
@@ -306,7 +320,8 @@ def graded_trace_series(
         0, 0, 24 * q_order - d, {(0, 24 * n - d): c for n, c in enumerate(osc)}, 24,
         x_exact=True,
     )
-    return moment_series(L, beta, weights, q_order) * eta_inv
+    pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
+    return [_moments(L, pairs, weights, q_order) * eta_inv for weights in weight_lists]
 
 
 def insertion_counts_by_grade(

@@ -205,7 +205,7 @@ def test_npoint_builds_each_census_once(monkeypatch):
 
 
 def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):
-    involutions._pair_tally.cache_clear()
+    involutions._lowest_letter_tally.cache_clear()
     held = []
     enumerate_n = involutions._all_involutions
     monkeypatch.setattr(
@@ -215,6 +215,23 @@ def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):
     cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
     assert cli.run_suite("combinatorics", cfg)["overall"] == "pass"
     assert held and max(held) <= 8
+
+
+def test_combinatorics_walks_twelve_letters_once(monkeypatch):
+    # the tally behind every count is one walk over N_CAP letters; the
+    # listings walk only n <= 8
+    involutions._lowest_letter_tally.cache_clear()
+    involutions._all_involutions.cache_clear()
+    walked = []
+    walk = involutions._walk
+    monkeypatch.setattr(
+        involutions, "_walk", lambda n, leaf: walked.append(n) or walk(n, leaf)
+    )
+    L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
+    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
+    assert cli.run_suite("combinatorics", cfg)["overall"] == "pass"
+    assert walked.count(involutions.N_CAP) == 1
+    assert max(n for n in walked if n != involutions.N_CAP) <= 8
 
 
 def test_verify_jobs_option_rejected(capsys):

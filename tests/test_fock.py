@@ -287,6 +287,24 @@ def test_recursion_rejects_a_wrong_length_vector(vectors):
         verify_trace_recursion(A2, A2.cosets[0], vectors, 1, 2)
 
 
+@pytest.mark.parametrize("vectors", [[(1.0, 0.5)], [(1.0, 0.5), (0.6, 0.3)]])
+def test_recursion_enumerates_the_coset_once(monkeypatch, vectors):
+    # the closed-form side enumerates L + beta once, for the weighted and
+    # the plain trace alike; the literal side's basis is built beforehand
+    beta = A2.cosets[1]
+    build_basis(A2, beta, 3)
+    calls = []
+    enumerate_vectors = EvenLattice.enumerate_vectors
+    monkeypatch.setattr(
+        EvenLattice,
+        "enumerate_vectors",
+        lambda self, *args: calls.append(args) or enumerate_vectors(self, *args),
+    )
+    rep = verify_trace_recursion(A2, beta, vectors, 2, 3)
+    assert rep["max_error"] < 1e-10
+    assert calls == [(beta, 3)]
+
+
 # ---------------------------------------------------------------------------
 # a coset outside the dual lattice is no module
 # ---------------------------------------------------------------------------

@@ -71,6 +71,24 @@ def test_involution_order_matches_tuple_recursion():
         assert list_involutions(n) == _tuple_recursion(n)
 
 
+def test_twelve_letter_walk_restricts_to_each_smaller_n():
+    # the involutions of {1..12} that fix 1..12-n are those of {1..n} with
+    # every letter shifted up by 12-n, met in the same order
+    cap = involutions.N_CAP
+    kept = []
+    involutions._walk(
+        cap, lambda stack: (not stack or stack[0][0] > cap - 9) and kept.append(tuple(stack))
+    )
+    for n in range(1, 10):
+        shift = cap - n
+        got = [
+            tuple((i - shift, j - shift) for i, j in sigma)
+            for sigma in kept
+            if not sigma or sigma[0][0] > shift
+        ]
+        assert got == list_involutions(n)
+
+
 def test_walk_leaves_no_reference_cycle():
     # the walk's closures and its leaf are freed when it returns, not at a
     # later cyclic collection
@@ -132,6 +150,9 @@ def test_n_cap():
         list_involutions(13)
     with pytest.raises(NTooLarge):
         list_involutions(0)
+    for n in (0, 13, -1):
+        with pytest.raises(NTooLarge):
+            count_with_fixed(n, n % 2)
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, False, None])
@@ -167,15 +188,17 @@ def test_non_int_r_is_refused(r):
 
 
 def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
-    involutions._pair_tally.cache_clear()
+    # every count of every n <= 12 is read off one walk over 12 letters
+    involutions._lowest_letter_tally.cache_clear()
     seen = []
     walk = involutions._walk
     monkeypatch.setattr(
         involutions, "_walk", lambda n, leaf: seen.append(n) or walk(n, leaf)
     )
-    counts = [count_with_fixed(10, r) for r in range(0, 11, 2)]
-    assert counts == [closed_form_fixed_count((10 - r) // 2, r) for r in range(0, 11, 2)]
-    assert seen == [10]
+    for n in range(1, involutions.N_CAP + 1):
+        counts = [count_with_fixed(n, r) for r in range(n % 2, n + 1, 2)]
+        assert counts == [closed_form_fixed_count((n - r) // 2, r) for r in range(n % 2, n + 1, 2)]
+    assert seen == [involutions.N_CAP]
 
 
 def test_tally_matches_listed_involutions():
@@ -324,6 +347,53 @@ def test_multinomial_identity_is_nontrivial():
     assert verify_multinomial_identity(p, r)
     want = Fraction(1, math.factorial(r) * math.factorial(p) * 2 ** p)
     assert want == Fraction(1, 8)
+
+
+def _fraction_multinomial(p, r):
+    """The identity as Fraction arithmetic: the oracle for the integer
+    cross-products."""
+    lhs = (
+        Fraction(1, math.factorial(r + 2 * p))
+        * math.comb(r + 2 * p, r)
+        * Fraction(math.factorial(2 * p), math.factorial(p) * 2**p)
+    )
+    rhs = Fraction(1, math.factorial(r + p)) * math.comb(r + p, r) * Fraction(1, 2**p)
+    return lhs == rhs == Fraction(1, math.factorial(r) * math.factorial(p) * 2**p)
+
+
+def _fraction_regroup(p, r):
+    n = 2 * p + r
+    lhs = Fraction(closed_form_fixed_count(p, r), math.factorial(n))
+    rhs = Fraction(1, math.factorial(p) * 2**p) * Fraction(1, math.factorial(r))
+    return lhs == rhs
+
+
+def test_integer_identities_match_fraction_oracle():
+    for p in range(31):
+        for r in range(31):
+            assert verify_multinomial_identity(p, r) is _fraction_multinomial(p, r) is True
+    for p_max, r_max in ((0, 0), (3, 7), (12, 12), (20, 20)):
+        want = all(_fraction_regroup(p, r) for p in range(p_max + 1) for r in range(r_max + 1))
+        assert exponential_regroup_check(p_max, r_max)["equal"] is want is True
+
+
+def test_integer_identities_build_no_fraction():
+    import fractions
+    import sys
+
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            built.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        verify_multinomial_identity(7, 5)
+        exponential_regroup_check(12, 12)
+    finally:
+        sys.setprofile(None)
+    assert built == []
 
 
 def test_exponential_regroup_small():
