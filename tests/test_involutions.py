@@ -1,5 +1,7 @@
+import fractions
 import gc
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -333,24 +335,8 @@ def test_sign_lemma_hand_value_p2():
     assert verify_sign_lemma(sigma)
 
 
-def test_multinomial_identity_grid():
-    for p in range(0, 7):
-        for r in range(0, 7):
-            if p == r == 0:
-                continue
-            assert verify_multinomial_identity(p, r)
-
-
-def test_multinomial_identity_is_nontrivial():
-    # the shared value both sides reduce to
-    p, r = 2, 1
-    assert verify_multinomial_identity(p, r)
-    want = Fraction(1, math.factorial(r) * math.factorial(p) * 2 ** p)
-    assert want == Fraction(1, 8)
-
-
 def _fraction_multinomial(p, r):
-    """The identity as Fraction arithmetic: the oracle for the integer
+    """The identity in Fraction arithmetic: the oracle for the integer
     cross-products."""
     lhs = (
         Fraction(1, math.factorial(r + 2 * p))
@@ -361,26 +347,21 @@ def _fraction_multinomial(p, r):
     return lhs == rhs == Fraction(1, math.factorial(r) * math.factorial(p) * 2**p)
 
 
-def _fraction_regroup(p, r):
-    n = 2 * p + r
-    lhs = Fraction(closed_form_fixed_count(p, r), math.factorial(n))
-    rhs = Fraction(1, math.factorial(p) * 2**p) * Fraction(1, math.factorial(r))
-    return lhs == rhs
-
-
-def test_integer_identities_match_fraction_oracle():
+def test_multinomial_identity_grid():
     for p in range(31):
         for r in range(31):
             assert verify_multinomial_identity(p, r) is _fraction_multinomial(p, r) is True
-    for p_max, r_max in ((0, 0), (3, 7), (12, 12), (20, 20)):
-        want = all(_fraction_regroup(p, r) for p in range(p_max + 1) for r in range(r_max + 1))
-        assert exponential_regroup_check(p_max, r_max)["equal"] is want is True
+
+
+def test_multinomial_identity_is_nontrivial():
+    # the shared value both sides reduce to
+    p, r = 2, 1
+    assert verify_multinomial_identity(p, r)
+    want = Fraction(1, math.factorial(r) * math.factorial(p) * 2 ** p)
+    assert want == Fraction(1, 8)
 
 
 def test_integer_identities_build_no_fraction():
-    import fractions
-    import sys
-
     built = []
 
     def profile(frame, event, arg):
@@ -394,6 +375,18 @@ def test_integer_identities_build_no_fraction():
     finally:
         sys.setprofile(None)
     assert built == []
+
+
+def _fraction_regroup(p, r):
+    lhs = Fraction(closed_form_fixed_count(p, r), math.factorial(2 * p + r))
+    rhs = Fraction(1, math.factorial(p) * 2**p) * Fraction(1, math.factorial(r))
+    return lhs == rhs
+
+
+def test_exponential_regroup_matches_fraction_oracle():
+    for p_max, r_max in ((0, 0), (3, 7), (12, 12), (20, 20)):
+        want = all(_fraction_regroup(p, r) for p in range(p_max + 1) for r in range(r_max + 1))
+        assert exponential_regroup_check(p_max, r_max)["equal"] is want is True
 
 
 def test_exponential_regroup_small():

@@ -418,17 +418,6 @@ def test_moment_series_second_moment_hand_value():
     assert abs(got.coefficient(0, 8) - 128) < 1e-12
 
 
-def test_graded_traces_match_one_series_per_call():
-    weights = [(1.0, 0.5), (0.6, 0.3)]
-    beta = A2.cosets[2]
-    weighted, plain = trace._graded_traces(A2, beta, 5, [weights, ()])
-    for got, want in (
-        (weighted, graded_trace_series(A2, beta, 5, weights=weights)),
-        (plain, graded_trace_series(A2, beta, 5)),
-    ):
-        assert got == want
-
-
 def test_graded_trace_series_zero_mode_free():
     got = graded_trace_series(L4, (0,), 4)
     shift = Fraction(1, 24)
