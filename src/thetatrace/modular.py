@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,6 +146,105 @@ def _t_power(k: int) -> UnimodularMatrix:
     return UnimodularMatrix(1, k, 0, 1)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> List[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64): the seed's
+    32-bit words, least significant first, hash-mixed into a four-word pool
+    that is then hashed out into eight words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Pcg64:
+    """The stream of numpy's default_rng(seed) (PCG64, XSL-RR 128/64,
+    seeded through SeedSequence), for the two methods this package draws
+    with, bit for bit, in pure Python: no numpy.random import, and the same
+    draws on every numpy version."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int):
+        w0, w1, w2, w3 = _seed_state(seed)
+        self._inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & _M128
+        self._half = None  # the unused high half of a draw, kept across calls
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            x, self._half = self._half, None
+            return x
+        x = self._next64()
+        self._half = x >> 32
+        return x & _M32
+
+    def _bounded(self, n: int) -> int:
+        """Lemire's multiply-and-reject draw from range(n), 0 < n < 2^32."""
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & _M32 < n:
+            floor = (1 << 32) % n
+            while m & _M32 < floor:
+                m = self._next32() * n
+        return m >> 32
+
+    def uniform(self, lo: float, hi: float, size: Optional[int] = None):
+        lo = float(lo)
+        span = float(hi) - lo
+        if size is None:
+            return lo + span * ((self._next64() >> 11) * 2.0**-53)
+        return [lo + span * ((self._next64() >> 11) * 2.0**-53) for _ in range(size)]
+
+    def integers(self, lo: int, hi: int, size: Optional[int] = None):
+        """Draws from range(lo, hi); hi - lo must lie in [1, 2^32)."""
+        if not 0 < hi - lo <= _M32:
+            raise ValueError(f"integers: hi - lo = {hi - lo} is outside [1, 2^32)")
+        if size is None:
+            return lo + self._bounded(hi - lo)
+        return [lo + self._bounded(hi - lo) for _ in range(size)]
+
+
 def sample_points(
     dim: int,
     count: int,
@@ -160,12 +260,12 @@ def sample_points(
     Vector components are bounded draws (uniform in a disc-like box) so term
     magnitudes in the trace sums stay controlled.
     """
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
 
     def vec():
-        re = rng.uniform(-1.0, 1.0, size=dim)
-        im = 0.0 if real_vectors else rng.uniform(-1.0, 1.0, size=dim)
-        return tuple((re + 1j * im) * scale)
+        re = rng.uniform(-1.0, 1.0, dim)
+        im = (0.0,) * dim if real_vectors else rng.uniform(-1.0, 1.0, dim)
+        return tuple(complex(x * scale, y * scale) for x, y in zip(re, im))
 
     out = []
     for _ in range(count):
@@ -309,12 +409,12 @@ def verify_cocycle(
 
 def random_words(count: int, max_len: int, seed: int) -> List[List[str]]:
     """Deterministic batch of words over {S, T, T^-1}."""
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     names = ("S", "T", "T^-1")
     out = []
     for _ in range(count):
-        length = int(rng.integers(1, max_len + 1))
-        out.append([names[int(k)] for k in rng.integers(0, 3, size=length)])
+        length = rng.integers(1, max_len + 1)
+        out.append([names[k] for k in rng.integers(0, 3, length)])
     return out
 
 
