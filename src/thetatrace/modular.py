@@ -263,6 +263,8 @@ def sample_points(
     rng = Pcg64(seed)
 
     def vec():
+        # for scale > 0 these are the values of numpy's (re + 1j * im) * scale
+        # on draws from (-1, 1), signed zeros included
         re = rng.uniform(-1.0, 1.0, dim)
         im = (0.0,) * dim if real_vectors else rng.uniform(-1.0, 1.0, dim)
         return tuple(complex(x * scale, y * scale) for x, y in zip(re, im))
