@@ -8,13 +8,15 @@ so mode operators act symbolically on the modes tuple and products of
 operators are exact on any state; no basis-matrix truncation enters.  Traces
 over all states of grade <= N are therefore exact through q^N.
 
-This module is deliberately independent of the closed-form machinery in
-`trace`: it is the oracle that the closed form is checked against, and the
-literal side of the two-variable trace recursion
+This module imports only `lattice` and `qseries`: it is the oracle that
+the closed forms of `trace` are checked against, and the literal side of
+the two-variable trace recursion
 
     sum_k x^k tr v1(k) v2(-k) q^{L(0)-d/24}
         = tr v1(0) v2(0) q^{L(0)-d/24}
-          + <-v1, v2> P2(x, q)/(2 pi i)^2 * tr q^{L(0)-d/24}.
+          + <-v1, v2> P2(x, q)/(2 pi i)^2 * tr q^{L(0)-d/24},
+
+whose right-hand side is `trace.recursion_series`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from .lattice import EvenLattice
-from .qseries import GRADE_CAP, TWO_PI_I, BiSeries, p2_series, require_grade
-from .trace import _graded_traces, state_pairing
+from .qseries import GRADE_CAP, BiSeries, require_grade
 
 
 def _colored_multisets(budget: int, dims: int):
@@ -236,29 +237,16 @@ def verify_trace_recursion(
     vectors: Sequence[Sequence],
     x_span: int,
     q_order: int,
+    closed: BiSeries,
 ) -> dict:
-    """Compare the literal trace against its closed-form recursion.
-
-    One insertion: the literal trace must equal the zero-mode-weighted
-    character.  Two insertions: literal = weighted character (both zero
-    modes) + <-v1,v2> * kernel/(2 pi i)^2 * character, everything expanded
-    as BiSeries and compared coefficient-by-coefficient on the common
-    trusted window.  The right-hand side never touches Fock states.
+    """Compare the literal trace of s_function_trace against its closed
+    form, a BiSeries such as trace.recursion_series of the same arguments,
+    coefficient by coefficient on the common trusted window.
     """
     beta = tuple(Fraction(x) for x in beta)
     lhs = s_function_trace(L, beta, vectors, x_span, q_order)
-    if len(vectors) == 2:
-        # the weighted and the plain trace share one enumeration of L + beta
-        rhs, plain = _graded_traces(L, beta, q_order, [list(vectors), ()])
-        v1, v2 = vectors
-        pairing = state_pairing(L, [-complex(x) for x in v1], v2)
-        kernel = p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2)
-        rhs = rhs + kernel * plain
-    else:
-        (rhs,) = _graded_traces(L, beta, q_order, [list(vectors)])
-    err = lhs.max_abs_diff(rhs)
     return {
-        "max_error": err,
+        "max_error": lhs.max_abs_diff(closed),
         "x_span": x_span,
         "q_order": q_order,
         "n_insertions": len(vectors),

@@ -36,7 +36,15 @@ import numpy as np
 
 from .errors import TailBoundViolated
 from .lattice import EvenLattice
-from .qseries import IM_TAU_FLOOR, TWO_PI_I, BiSeries, eta_eval, require_grade, require_im
+from .qseries import (
+    IM_TAU_FLOOR,
+    TWO_PI_I,
+    BiSeries,
+    eta_eval,
+    p2_series,
+    require_grade,
+    require_im,
+)
 
 # <a(-1)1, b(-1)1> = PAIRING_SIGN * <a, b>_lattice for weight-one elements.
 PAIRING_SIGN = -1
@@ -212,15 +220,10 @@ def z_trace(
     return _lattice_sums(L, L.check_dual(beta), _prepare(L, [point], rtol))[0] / eta_d
 
 
-def z_vector(
-    L: EvenLattice,
-    point: TracePoint,
-    im_floor: float = IM_TAU_FLOOR,
-    rtol: float = TRACE_RTOL,
-) -> list:
+def z_vector(L: EvenLattice, point: TracePoint) -> list:
     """z_trace for every dual coset, in the canonical sorted coset order:
     z_table on one point."""
-    return z_table(L, [point], im_floor, rtol)[0].tolist()
+    return z_table(L, [point])[0].tolist()
 
 
 def theta_w(L: EvenLattice, beta: Sequence, a: Sequence, tau: complex) -> complex:
@@ -322,6 +325,28 @@ def _graded_traces(
     )
     pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
     return [_moments(L, pairs, weights, q_order) * eta_inv for weights in weight_lists]
+
+
+def recursion_series(
+    L: EvenLattice, beta: Sequence, vectors: Sequence[Sequence], x_span: int, q_order: int
+) -> BiSeries:
+    """Closed side of the trace recursion whose literal side is
+    fock.s_function_trace, through lattice grade q_order.
+
+    One vector v: tr v(0) q^{L(0)-d/24}.  Two vectors: the weighted
+    character tr v1(0) v2(0) q^{L(0)-d/24} plus <-v1, v2> P2(x, q)/(2 pi i)^2
+    times the plain character, both characters from one enumeration of
+    L + beta and the kernel through x^{+-x_span}.  Any other number of
+    vectors, or a beta outside the dual lattice, raises ValueError.
+    """
+    if len(vectors) not in (1, 2):
+        raise ValueError("only one or two insertion vectors are supported")
+    if len(vectors) == 1:
+        return _graded_traces(L, beta, q_order, [list(vectors)])[0]
+    weighted, plain = _graded_traces(L, beta, q_order, [list(vectors), ()])
+    v1, v2 = vectors
+    pairing = state_pairing(L, [-complex(x) for x in v1], v2)
+    return weighted + p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2) * plain
 
 
 def insertion_counts_by_grade(

@@ -35,7 +35,7 @@ from thetatrace.modular import (
     word_to_matrix,
 )
 from thetatrace.qseries import g2_eval, jacobi_theta
-from thetatrace.trace import insertion_counts_by_grade, theta_w
+from thetatrace.trace import insertion_counts_by_grade, recursion_series, theta_w
 
 _T0 = time.perf_counter()
 
@@ -46,13 +46,14 @@ HALF = Fraction(1, 2)
 
 CFG4 = cli.RunConfig(lattice=L4, lattice_label="builtin-norm4")
 CFGA2 = cli.RunConfig(lattice=A2, lattice_label="a2")
+CHECKS = {name: check for rows in cli.SUITE_CHECKS.values() for name, check, _ in rows}
 
 
 def test_c01_classical_theta_inversion_table():
     """All four half-characteristic thetas satisfy the inversion law at 20
     seeded points, max error < 1e-10, in under 5 seconds."""
     start = time.perf_counter()
-    err = cli.check_theta_inversion_table(CFG4)
+    err = CHECKS["theta-inversion-table"](CFG4)
     elapsed = time.perf_counter() - start
     assert err < 1e-10
     assert elapsed < 5.0
@@ -104,7 +105,8 @@ def test_c04_two_insertion_recursion():
     v1, v2 = (1.0,), (0.6,)
     worst = 0.0
     for beta in [(Fraction(0),), (Fraction(1, 2),)]:
-        rep = verify_trace_recursion(L4, beta, [v1, v2], 4, 6)
+        closed = recursion_series(L4, beta, [v1, v2], 4, 6)
+        rep = verify_trace_recursion(L4, beta, [v1, v2], 4, 6, closed)
         worst = max(worst, rep["max_error"])
     elapsed = time.perf_counter() - start
     assert worst < 1e-9

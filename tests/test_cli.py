@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -121,22 +122,27 @@ MAIN_THEOREM_NAMES = [
     "holdout-s", "fit-identity", "cocycle-st", "cocycle-ts", "cocycle-ss",
     "random-words-holdout", "word-decomposition-roundtrip",
 ]
-# the built-in norm-4 lattice gets the sharp main-theorem tolerances
-MAIN_THEOREM_TOLS = {
-    "norm4": [1e-12, 1e-10, 1e-10, 1e-8, 1e-8, 1e-8, 1e-10, 1e-7, 1e-7, 1e-7, 1e-7, 0.5],
-    "a2": [1e-7] * 11 + [0.5],
+# the built-in norm-4 Gram gets the sharp main-theorem tolerances, also
+# when it is read from a file; any other Gram raises them to 1e-7
+SHARP_TOLS = [1e-12, 1e-10, 1e-10, 1e-8, 1e-8, 1e-8, 1e-10, 1e-7, 1e-7, 1e-7, 1e-7, 0.5]
+# case -> (lattice file or None for the built-in one, main-theorem tolerances)
+LAYOUT_CASES = {
+    "norm4": (None, SHARP_TOLS),
+    "a2": ("a2.json", [1e-7] * 11 + [0.5]),
+    "norm4.json": ("norm4.json", SHARP_TOLS),
 }
 
 
-@pytest.mark.parametrize("lattice", ["norm4", "a2"])
+@pytest.mark.parametrize("lattice", list(LAYOUT_CASES))
 def test_verify_all_layout(lattice, capsys):
+    path, tols = LAYOUT_CASES[lattice]
     args = ["verify", "all", "--seed", "0"]
-    if lattice == "a2":
-        args += ["--lattice", str(LATTICE_DIR / "a2.json")]
+    if path:
+        args += ["--lattice", str(LATTICE_DIR / path)]
     code, rep = report_of(args, capsys)
     assert code == 0 and rep["overall"] == "pass"
     layout = [(c["name"], c["tolerance"]) for c in rep["checks"]]
-    main = list(zip(MAIN_THEOREM_NAMES, MAIN_THEOREM_TOLS[lattice]))
+    main = list(zip(MAIN_THEOREM_NAMES, tols))
     assert layout == LAYOUT_HEAD + main
 
 
@@ -302,6 +308,23 @@ def test_fit_t_is_diagonal(capsys):
         for k in range(4):
             if h != k:
                 assert abs(m[h][k]) < 1e-9
+
+
+@pytest.mark.parametrize("lattice", ["norm4", "a2", "a3"])
+def test_fit_minus_identity_maps_each_coset_to_its_negative(lattice, capsys):
+    # psi_{-I}(v, u) = (-v, -u), and m -> -m maps L + beta onto L - beta, so
+    # A(-I) is the permutation beta -> -beta; a negative first entry needs
+    # the "=" form of --alpha
+    args = ["fit", "--alpha=-1,0,0,-1"]
+    if lattice != "norm4":
+        args += ["--lattice", str(LATTICE_DIR / f"{lattice}.json")]
+    code, rep = report_of(args, capsys)
+    assert code == 0
+    cosets = [tuple(Fraction(x) for x in beta) for beta in rep["cosets"]]
+    for h, beta in enumerate(cosets):
+        minus = cosets.index(tuple(-x % 1 for x in beta))
+        for k, (re, im) in enumerate(rep["matrix"][h]):
+            assert abs(complex(re, im) - (k == minus)) < 1e-10
 
 
 def test_fit_bad_alpha_exits_2(capsys):

@@ -1,3 +1,4 @@
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ from thetatrace.fock import (
 )
 from thetatrace.lattice import EvenLattice
 from thetatrace.qseries import BiSeries
-from thetatrace.trace import colored_partition_counts, insertion_counts_by_grade
+from thetatrace.trace import colored_partition_counts, insertion_counts_by_grade, recursion_series
 
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
@@ -240,57 +241,70 @@ def test_two_insertion_trace_window():
 # ---------------------------------------------------------------------------
 
 
+def recursion(L, beta, vectors, x_span, q_order):
+    """The literal trace against recursion_series of the same arguments."""
+    closed = recursion_series(L, beta, vectors, x_span, q_order)
+    return verify_trace_recursion(L, beta, vectors, x_span, q_order, closed)
+
+
+# a valid closed side for the rejection tests, so that each error comes
+# from the literal side
+A2_VECTORS = [(1.0, 0.5), (0.6, 0.3)]
+A2_CLOSED = recursion_series(A2, A2.cosets[0], A2_VECTORS, 1, 2)
+
+
 @pytest.mark.parametrize("L,beta", [(L4, (0,)), (L4, (Fraction(1, 4),))])
 def test_one_point_recursion(L, beta):
-    rep = verify_trace_recursion(L, beta, [(1.0,)], 0, 5)
+    rep = recursion(L, beta, [(1.0,)], 0, 5)
     assert rep["n_insertions"] == 1
     assert rep["max_error"] < 1e-12
 
 
 def test_two_point_recursion_norm4():
-    rep = verify_trace_recursion(L4, (Fraction(1, 4),), [(1.0,), (0.6,)], 2, 4)
+    rep = recursion(L4, (Fraction(1, 4),), [(1.0,), (0.6,)], 2, 4)
     assert rep["max_error"] < 1e-10
     assert rep["basis_size"] > 10
 
 
 def test_two_point_recursion_a2():
-    rep = verify_trace_recursion(A2, (0, 0), [(1.0, 0.5), (0.6, 0.3)], 2, 3)
+    rep = recursion(A2, (0, 0), A2_VECTORS, 2, 3)
     assert rep["max_error"] < 1e-10
 
 
 def test_recursion_rejects_bad_arity():
+    closed = recursion_series(L4, (0,), [(1.0,), (1.0,)], 2, 3)
     with pytest.raises(ValueError):
-        verify_trace_recursion(L4, (0,), [(1.0,), (1.0,), (1.0,)], 2, 3)
+        verify_trace_recursion(L4, (0,), [(1.0,), (1.0,), (1.0,)], 2, 3, closed)
 
 
 def test_recursion_nan_insertion_fails():
     # max() drops a NaN difference; the comparison must report it
-    rep = verify_trace_recursion(A2, A2.cosets[0], [(math.nan, 0.0)], 1, 2)
+    rep = recursion(A2, A2.cosets[0], [(math.nan, 0.0)], 1, 2)
     assert rep["max_error"] == math.inf
 
 
 @pytest.mark.parametrize("q_order", [-1, 2.5, True])
 def test_recursion_rejects_a_bad_q_order(q_order):
     with pytest.raises(ValueError, match="q_order"):
-        verify_trace_recursion(A2, A2.cosets[0], [(1.0, 0.5), (0.6, 0.3)], 1, q_order)
+        verify_trace_recursion(A2, A2.cosets[0], A2_VECTORS, 1, q_order, A2_CLOSED)
 
 
 @pytest.mark.parametrize("x_span", [1.5, -1])
 def test_recursion_rejects_a_bad_x_span(x_span):
     with pytest.raises(ValueError, match="x_span"):
-        verify_trace_recursion(A2, A2.cosets[0], [(1.0, 0.5), (0.6, 0.3)], x_span, 2)
+        verify_trace_recursion(A2, A2.cosets[0], A2_VECTORS, x_span, 2, A2_CLOSED)
 
 
 @pytest.mark.parametrize("vectors", [[(1.0,)], [(1.0, 0.5), (0.6, 0.3, 0.1)]])
 def test_recursion_rejects_a_wrong_length_vector(vectors):
     with pytest.raises(ValueError, match="coordinates"):
-        verify_trace_recursion(A2, A2.cosets[0], vectors, 1, 2)
+        verify_trace_recursion(A2, A2.cosets[0], vectors, 1, 2, A2_CLOSED)
 
 
-@pytest.mark.parametrize("vectors", [[(1.0, 0.5)], [(1.0, 0.5), (0.6, 0.3)]])
+@pytest.mark.parametrize("vectors", [[(1.0, 0.5)], A2_VECTORS])
 def test_recursion_enumerates_the_coset_once(monkeypatch, vectors):
-    # the closed-form side enumerates L + beta once, for the weighted and
-    # the plain trace alike; the literal side's basis is built beforehand
+    # the closed side enumerates L + beta once, for the weighted and the
+    # plain trace alike; the literal side's basis is built beforehand
     beta = A2.cosets[1]
     build_basis(A2, beta, 3)
     calls = []
@@ -300,9 +314,24 @@ def test_recursion_enumerates_the_coset_once(monkeypatch, vectors):
         "enumerate_vectors",
         lambda self, *args: calls.append(args) or enumerate_vectors(self, *args),
     )
-    rep = verify_trace_recursion(A2, beta, vectors, 2, 3)
+    rep = recursion(A2, beta, vectors, 2, 3)
     assert rep["max_error"] < 1e-10
     assert calls == [(beta, 3)]
+
+
+def test_fock_imports_nothing_from_trace():
+    # the oracle stays independent of the closed forms it checks; importing
+    # thetatrace loads trace anyway, so only the source can show this
+    tree = ast.parse(open(fock.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.split(".")[-1] == "trace"}
+    assert imported >= {"lattice", "qseries"}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +360,7 @@ def test_s_function_trace_rejects_a_coset_outside_the_dual():
 def test_recursion_rejects_a_coset_outside_the_dual():
     # before the check this compared the trace of no module and passed
     with pytest.raises(ValueError, match="dual"):
-        verify_trace_recursion(A2, A2_NON_DUAL, [(1.0, 0.5), (0.6, 0.3)], 1, 2)
+        verify_trace_recursion(A2, A2_NON_DUAL, A2_VECTORS, 1, 2, A2_CLOSED)
 
 
 # ---------------------------------------------------------------------------

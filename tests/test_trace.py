@@ -16,6 +16,7 @@ from thetatrace.trace import (
     graded_trace_series,
     insertion_counts_by_grade,
     moment_series,
+    recursion_series,
     state_pairing,
     t_phase,
     theta_w,
@@ -264,6 +265,24 @@ def test_moment_series_rejects_a_coset_outside_the_dual():
 def test_graded_trace_series_rejects_a_coset_outside_the_dual():
     with pytest.raises(ValueError, match="dual"):
         graded_trace_series(A2, (Fraction(1, 7), Fraction(0)), 4)
+
+
+def test_recursion_series_rejects_a_coset_outside_the_dual():
+    with pytest.raises(ValueError, match="dual"):
+        recursion_series(A2, (Fraction(1, 7), Fraction(0)), [(1.0, 0.5), (0.6, 0.3)], 1, 2)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_recursion_series_takes_one_or_two_vectors(count):
+    with pytest.raises(ValueError, match="one or two"):
+        recursion_series(A2, A2.cosets[0], [(1.0, 0.5)] * count, 1, 2)
+
+
+def test_recursion_series_of_one_vector_is_the_weighted_character():
+    got = recursion_series(A2, A2.cosets[1], [(1.0, 0.5)], 3, 4)
+    want = graded_trace_series(A2, A2.cosets[1], 4, [(1.0, 0.5)])
+    assert (got.x_min, got.x_max, got.q_order) == (want.x_min, want.x_max, want.q_order)
+    assert got.coeffs == want.coeffs
 
 
 def test_insertion_counts_reject_a_coset_outside_the_dual():
