@@ -81,7 +81,7 @@ def _sample_taus(seed: int, count: int, im_lo: float = 0.6, for_laws: bool = Fal
     """With for_laws set, a tau is redrawn until alpha.tau for every alpha of
     _mats() also clears IM_TAU_FLOOR (Im(TST.tau) = Im tau / |tau + 1|^2
     reaches 0.244 in this box); seeds that never redraw keep their samples."""
-    rng = modular.Pcg64(seed)
+    rng = modular.seeded_rng(seed)
     out = []
     while len(out) < count:
         tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(im_lo, 1.7))
@@ -153,17 +153,17 @@ def check_g2_law(cfg: RunConfig) -> float:
 
 
 def check_weierstrass_law(cfg: RunConfig) -> float:
-    rng = modular.Pcg64(cfg.seed + 5)
+    rng = modular.seeded_rng(cfg.seed + 5)
     return _weight_two_law(weierstrass_p, _sample_taus(cfg.seed + 6, 6, for_laws=True), rng, False)
 
 
 def check_p2_law(cfg: RunConfig) -> float:
-    rng = modular.Pcg64(cfg.seed + 7)
+    rng = modular.seeded_rng(cfg.seed + 7)
     return _weight_two_law(_p2_full, _sample_taus(cfg.seed + 8, 6, for_laws=True), rng, True)
 
 
 def check_p2_annulus(cfg: RunConfig) -> float:
-    rng = modular.Pcg64(cfg.seed + 9)
+    rng = modular.seeded_rng(cfg.seed + 9)
     worst = 0.0
     for tau in _sample_taus(cfg.seed + 10, 10, im_lo=0.5):
         z = rng.uniform(0.1, 0.9) + rng.uniform(-0.4, 0.4) * tau
@@ -179,7 +179,7 @@ def check_p2_annulus(cfg: RunConfig) -> float:
 def _theta_table(seed: int, gap: Callable) -> float:
     """max |gap(h, k, z, tau)| over N_POINTS draws of (tau, z) and the four
     characteristics h, k in {0, 1/2}."""
-    rng = modular.Pcg64(seed)
+    rng = modular.seeded_rng(seed)
     worst = 0.0
     for _ in range(N_POINTS):
         tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 1.7))

@@ -11,12 +11,13 @@ class ThetaTraceError(Exception):
 
 
 class ImTooSmall(ThetaTraceError):
-    """Im(tau) is below the configured floor; evaluation refused."""
+    """Im(tau) is below the configured floor, or tau is not finite;
+    evaluation refused."""
 
 
 class OutOfAnnulus(ThetaTraceError):
     """q_z lies outside the annulus |q| < |q_z| < 1/|q| where the
-    two-variable kernel converges."""
+    two-variable kernel converges, or z is not finite."""
 
 
 class PoleAtLatticePoint(ThetaTraceError):

@@ -55,8 +55,16 @@ GRADE_CAP = 60
 
 
 def require_im(tau: complex, floor: float = IM_TAU_FLOOR) -> None:
+    # tested first: NaN compares False with the floor and would pass
+    if not cmath.isfinite(tau):
+        raise ImTooSmall(f"tau = {tau} is not finite")
     if tau.imag < floor:
         raise ImTooSmall(f"Im(tau) = {tau.imag} is below the floor {floor}")
+
+
+def _require_finite_z(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise OutOfAnnulus(f"z = {z} is not finite")
 
 
 def require_grade(grade_max) -> None:
@@ -498,6 +506,7 @@ def p2_eval(z: complex, tau: complex) -> complex:
     the direct double sum rearranges to.
     """
     require_im(tau)
+    _require_finite_z(z)
     q = q_power(tau, 1)
     qz = cmath.exp(TWO_PI_I * z)
     ratio = max(abs(q * qz), abs(q / qz))
@@ -555,6 +564,7 @@ def weierstrass_p(z: complex, tau: complex) -> complex:
     cell by periodicity; z within POLE_RADIUS of a lattice point is refused.
     """
     require_im(tau)
+    _require_finite_z(z)
     m = round(z.imag / tau.imag)
     z_red = z - m * tau
     z_red -= round(z_red.real)
@@ -582,6 +592,7 @@ def jacobi_theta(h, k, z: complex, tau: complex) -> complex:
     for half-integer characteristics h, k in {0, 1/2}."""
     hf, kf = _check_char(h), _check_char(k)
     require_im(tau)
+    _require_finite_z(z)
     # Gaussian tail: |term| = exp(-pi (n+h)^2 Im tau - 2 pi (n+h) Im z)
     L = -math.log(TAIL_RTOL) + 5
     b = abs(z.imag)

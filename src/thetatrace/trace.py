@@ -76,8 +76,8 @@ class TracePoint:
         object.__setattr__(self, "tau", complex(self.tau))
         if len(self.a) != len(self.b):
             raise ValueError("a and b must have the same dimension")
-        if self.tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
+        if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
+            raise ValueError("tau must be a finite point of the upper half-plane")
 
 
 def state_pairing(L: EvenLattice, a: Sequence, b: Sequence) -> complex:

@@ -148,6 +148,24 @@ def test_eta_eval_respects_im_floor():
         eta_eval(0.1j)
 
 
+NON_FINITE = [complex(0.1, math.nan), complex(math.nan, 1.0), complex(0.1, math.inf),
+              complex(math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["im-nan", "re-nan", "im-inf", "re-inf"])
+def test_non_finite_tau_or_z_is_refused(bad):
+    # a NaN Im(tau) compares False with the floor, so it used to reach the
+    # adaptive orders and fail there with a bare ValueError
+    at_tau = (eta_eval, g2_eval, lambda t: p2_eval(0.1, t), lambda t: weierstrass_p(0.3, t),
+              lambda t: jacobi_theta(0, 0, 0.1, t))
+    for evaluate in at_tau:
+        with pytest.raises(ImTooSmall):
+            evaluate(bad)
+    for evaluate in (p2_eval, weierstrass_p, lambda z, t: jacobi_theta(0, 0, z, t)):
+        with pytest.raises(OutOfAnnulus):
+            evaluate(bad, 1.1j)
+
+
 # ---------------------------------------------------------------------------
 # weight-two Eisenstein
 # ---------------------------------------------------------------------------

@@ -89,6 +89,9 @@ def test_trace_point_validation():
         TracePoint((0.1,), (0.2, 0.3), 1j)
     with pytest.raises(ValueError):
         TracePoint((0.1,), (0.2,), 1.0 - 0.5j)
+    for tau in (complex(0.1, math.nan), complex(math.nan, 1.0), complex(math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TracePoint((0.1,), (0.2,), tau)
 
 
 @pytest.mark.parametrize(
