@@ -17,7 +17,8 @@ class ImTooSmall(ThetaTraceError):
 
 class OutOfAnnulus(ThetaTraceError):
     """q_z lies outside the annulus |q| < |q_z| < 1/|q| where the
-    two-variable kernel converges, or z is not finite."""
+    two-variable kernel converges, or z is not finite, or too large for a
+    double-precision evaluation."""
 
 
 class PoleAtLatticePoint(ThetaTraceError):

@@ -13,7 +13,9 @@ A is recovered by least squares over sampled (v, u, tau) triples and then
 validated on held-out points.  The pair map composes contravariantly,
 psi_beta(psi_alpha(v, u)) = psi_{alpha beta}(v, u), which makes A a
 homomorphism: A(alpha beta) = A(alpha) A(beta); verify_cocycle measures
-exactly that.
+exactly that.  Matrices are tuples of row tuples: the least-squares solve is
+one small one-sided Jacobi SVD (_solve), and matmul and max_gap are the only
+other matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import cmath
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .errors import BoundTooLarge, IllConditioned, ThetaTraceError
 from .lattice import EvenLattice
@@ -40,6 +41,7 @@ TOKEN_CAP = 10**6  # most T-tokens a decomposition word may hold
 ENTRY_CAP = 10**6  # largest |entry| of alpha that adapted_samples accepts
 SAMPLE_SCALE = 0.2  # insertion-vector scale of the adapted samples
 N_HOLDOUT = 20  # held-out points per validated fit
+SWEEP_CAP = 60  # most Jacobi sweeps of one least-squares solve
 
 
 @dataclass(frozen=True)
@@ -232,44 +234,116 @@ def _vector_table(
     return lhs, z_table(L, [alpha.act_point(pt) for pt in points], WORD_FLOOR, WORD_RTOL)
 
 
+def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    """The product of two matrices given as rows, as a tuple of row tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def max_gap(a: Sequence[Sequence], b: Sequence[Sequence]) -> float:
+    """max |a[i][j] - b[i][j]| of two equally shaped matrices given as rows;
+    0.0 for matrices without entries."""
+    return max(
+        (abs(x - y) for ra, rb in zip(a, b, strict=True) for x, y in zip(ra, rb, strict=True)),
+        default=0.0,
+    )
+
+
+def _solve(rhs: Sequence[Sequence], lhs: Sequence[Sequence]) -> Tuple[tuple, float]:
+    """(x, cond): the least-squares solution of rhs x = lhs and the 2-norm
+    condition number of rhs, from one one-sided (Hestenes) Jacobi SVD.
+
+    The columns of rhs are rotated pairwise by unitary 2x2 transforms,
+    accumulated in V, until every pair is orthogonal to working precision;
+    then rhs = U Sigma V^H with Sigma the column norms.  rhs^H rhs is never
+    formed, as it would square the condition number.  As numpy.linalg.lstsq
+    with rcond=None, x treats singular values at or below eps max(shape)
+    sigma_max as zero; cond is inf only for a zero singular value.
+    """
+    eps = sys.float_info.epsilon
+    rows, n = len(rhs), len(rhs[0])
+    cols = [list(col) for col in zip(*rhs)]
+    v = [[complex(i == j) for i in range(n)] for j in range(n)]  # v[j]: column j of V
+    tol = math.sqrt(rows) * eps
+    for _ in range(SWEEP_CAP):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                ap, aq = cols[p], cols[q]
+                alpha = sum(x.real * x.real + x.imag * x.imag for x in ap)
+                beta = sum(x.real * x.real + x.imag * x.imag for x in aq)
+                gamma = sum(x.conjugate() * y for x, y in zip(ap, aq))
+                if abs(gamma) <= tol * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                # the real rotation that diagonalizes [[alpha, |gamma|],
+                # [|gamma|, beta]], after the phase of gamma moves to column q
+                zeta = (beta - alpha) / (2 * abs(gamma))
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                phase = gamma.conjugate() / abs(gamma)
+                cq, sq = c * phase, s * phase
+                for mat in (cols, v):
+                    xp, xq = mat[p], mat[q]
+                    mat[p] = [c * x - sq * y for x, y in zip(xp, xq)]
+                    mat[q] = [s * x + cq * y for x, y in zip(xp, xq)]
+        if not rotated:
+            break
+    else:
+        raise IllConditioned(f"Jacobi SVD did not converge in {SWEEP_CAP} sweeps")
+    sigma = [math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in col)) for col in cols]
+    top = max(sigma)
+    cut = eps * max(rows, n) * top
+    cond = top / min(sigma) if min(sigma) > 0 else math.inf
+    # x = V Sigma^+ U^H lhs, with U^H lhs / sigma = cols^H lhs / sigma^2
+    x = [[0j] * len(lhs[0]) for _ in range(n)]
+    for col, vj, sj in zip(cols, v, sigma):
+        if sj <= cut:
+            continue
+        w = [
+            sum(a.conjugate() * b for a, b in zip(col, lhs_col)) / (sj * sj)
+            for lhs_col in zip(*lhs)
+        ]
+        for i, vij in enumerate(vj):
+            x[i] = [u + vij * wk for u, wk in zip(x[i], w)]
+    return tuple(map(tuple, x)), cond
+
+
 def fit_transition(
     L: EvenLattice,
     alpha: UnimodularMatrix,
     samples: Sequence[TracePoint],
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[tuple, float]:
     """Least-squares recovery of the transition matrix from sample triples.
 
     Solves lhs[s, h] = sum_k A[h, k] rhs[s, k] for A over all samples at
     once; the shared coefficient matrix rhs must be well conditioned or
-    IllConditioned is raised.  Returns (A, residual): A read-only, as
-    fit_alpha shares it, and residual the largest misfit on the samples.
+    IllConditioned is raised.  Returns (A, residual): A a tuple of row
+    tuples, immutable as fit_alpha shares it, and residual the largest
+    misfit on the samples.
     """
     m = len(L.cosets)
     if len(samples) < 2 * m:
         raise ValueError(f"need at least {2 * m} samples, got {len(samples)}")
     lhs, rhs = _vector_table(L, alpha, samples)
-    cond = np.linalg.cond(rhs)
-    if not np.isfinite(cond) or cond > COND_CAP:
+    x, cond = _solve(rhs, lhs)
+    if not math.isfinite(cond) or cond > COND_CAP:
         raise IllConditioned(f"sample matrix condition number {cond:.3e}")
-    x, *_ = np.linalg.lstsq(rhs, lhs, rcond=None)
-    a = x.T
-    a.flags.writeable = False
-    residual = float(np.max(np.abs(rhs @ x - lhs)))
-    return a, residual
+    return tuple(zip(*x)), max_gap(matmul(rhs, x), lhs)
 
 
 def verify_relation(
     L: EvenLattice,
     alpha: UnimodularMatrix,
     holdout: Sequence[TracePoint],
-    fitted: Tuple[np.ndarray, float],
+    fitted: Tuple[tuple, float],
 ) -> dict:
     """Max residual of the transition relation on held-out points."""
     a, residual = fitted
     lhs, rhs = _vector_table(L, alpha, holdout)
-    err = float(np.max(np.abs(lhs - rhs @ a.T))) if len(holdout) else 0.0
     return {
-        "max_error": err,
+        "max_error": max_gap(lhs, matmul(rhs, tuple(zip(*a)))),
         "n_points": len(holdout),
         "fit_residual": residual,
         "alpha": [alpha.a, alpha.b, alpha.f, alpha.d],
@@ -277,7 +351,7 @@ def verify_relation(
 
 
 @lru_cache(maxsize=None)
-def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int, /) -> Tuple[np.ndarray, float]:
+def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int, /) -> Tuple[tuple, float]:
     """(A, residual) of A(alpha) fitted on adapted_samples(alpha, L.dim, 2m,
     seed), m = |L*/L|.
 
@@ -292,7 +366,7 @@ def fit_alpha(L: EvenLattice, alpha: UnimodularMatrix, seed: int, /) -> Tuple[np
 
 def fit_and_verify(
     L: EvenLattice, alpha: UnimodularMatrix, seed: int = 0
-) -> Tuple[np.ndarray, dict]:
+) -> Tuple[tuple, dict]:
     """(A, report): the memoized fit_alpha(L, alpha, seed), validated on a
     disjoint batch of N_HOLDOUT points; only the holdout is computed afresh."""
     fitted = fit_alpha(L, alpha, seed)
@@ -309,9 +383,8 @@ def verify_cocycle(
     a, ra = fit_alpha(L, alpha, seed)
     b, rb = fit_alpha(L, beta, seed + 1)
     ab, rab = fit_alpha(L, alpha * beta, seed + 2)
-    gap = np.max(np.abs(ab - a @ b))
     return {
-        "max_error": float(gap),
+        "max_error": max_gap(ab, matmul(a, b)),
         "residuals": [ra, rb, rab],
         "alpha": [alpha.a, alpha.b, alpha.f, alpha.d],
         "beta": [beta.a, beta.b, beta.f, beta.d],
@@ -329,26 +402,24 @@ def random_words(count: int, max_len: int, seed: int) -> List[List[str]]:
     return out
 
 
-def s_matrix_prediction(L: EvenLattice) -> np.ndarray:
+def s_matrix_prediction(L: EvenLattice) -> tuple:
     """Closed-form candidate for A(S): |L*/L|^(-1/2) e^(-2 pi i <b_h, b_k>).
 
     Used as an independent oracle against the fitted matrix; the library
     itself never assumes it.
     """
     cosets = L.cosets
-    m = len(cosets)
-    scale = 1.0 / math.sqrt(m)
-    out = np.empty((m, m), dtype=complex)
-    for h, bh in enumerate(cosets):
-        for k, bk in enumerate(cosets):
-            out[h, k] = scale * cmath.exp(-2j * cmath.pi * float(L.inner(bh, bk)))
-    return out
+    scale = 1.0 / math.sqrt(len(cosets))
+    return tuple(
+        tuple(scale * cmath.exp(-2j * cmath.pi * float(L.inner(bh, bk))) for bk in cosets)
+        for bh in cosets
+    )
 
 
-def t_matrix_prediction(L: EvenLattice) -> np.ndarray:
+def t_matrix_prediction(L: EvenLattice) -> tuple:
     """Diagonal of phases e^(2 pi i (<b,b>/2 - d/24)) for alpha = T."""
     cosets = L.cosets
-    out = np.zeros((len(cosets), len(cosets)), dtype=complex)
-    for h, bh in enumerate(cosets):
-        out[h, h] = t_phase(L, bh)
-    return out
+    return tuple(
+        tuple(t_phase(L, bh) if h == k else 0j for k in range(len(cosets)))
+        for h, bh in enumerate(cosets)
+    )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -48,6 +49,14 @@ _MAX_TERMS = 200_000
 
 # weierstrass_p refuses z this close to a period lattice point.
 POLE_RADIUS = 1e-8
+
+# weierstrass_p refuses z whose reduction into the period cell may move it
+# by more than this in double precision.
+REDUCTION_ATOL = 1e-12
+
+# jacobi_theta refuses z whose largest term would reach e^THETA_LOG_CAP; the
+# whole sum is then below 3 e^THETA_LOG_CAP, inside double precision.
+THETA_LOG_CAP = math.log(sys.float_info.max) - 2
 
 # Graded module censuses and traces, literal or closed-form, refuse an
 # L(0)-grade cutoff above this.
@@ -561,11 +570,19 @@ def weierstrass_p(z: complex, tau: complex) -> complex:
     """Weierstrass elliptic function for the lattice Z tau + Z.
 
     Computed as P2(z, tau) - G2(tau) after reducing z into the fundamental
-    cell by periodicity; z within POLE_RADIUS of a lattice point is refused.
+    cell by periodicity; z within POLE_RADIUS of a lattice point is refused,
+    and so is z so large that the reduction's rounding may move it by more
+    than REDUCTION_ATOL (OutOfAnnulus).
     """
     require_im(tau)
     _require_finite_z(z)
     m = round(z.imag / tau.imag)
+    lost = sys.float_info.epsilon * (abs(z) + abs(m * tau))
+    if lost > REDUCTION_ATOL:
+        raise OutOfAnnulus(
+            f"z = {z} is too large to reduce into the period cell: the reduction "
+            f"may move it by {lost:.1e}, above {REDUCTION_ATOL}"
+        )
     z_red = z - m * tau
     z_red -= round(z_red.real)
     dist = min(
@@ -589,13 +606,21 @@ def _check_char(h) -> Fraction:
 
 def jacobi_theta(h, k, z: complex, tau: complex) -> complex:
     """theta_{h,k}(z, tau) = sum_n exp(pi i (n+h)^2 tau + 2 pi i (n+h)(z+k))
-    for half-integer characteristics h, k in {0, 1/2}."""
+    for half-integer characteristics h, k in {0, 1/2}.  An Im z whose
+    largest term would overflow double precision is refused (OutOfAnnulus)
+    before any term is summed."""
     hf, kf = _check_char(h), _check_char(k)
     require_im(tau)
     _require_finite_z(z)
-    # Gaussian tail: |term| = exp(-pi (n+h)^2 Im tau - 2 pi (n+h) Im z)
-    L = -math.log(TAIL_RTOL) + 5
+    # Gaussian tail: |term| = exp(-pi (n+h)^2 Im tau - 2 pi (n+h) Im z),
+    # at most exp(pi (Im z)^2 / Im tau) over real n + h
     b = abs(z.imag)
+    if math.pi * b * b / tau.imag > THETA_LOG_CAP:
+        raise OutOfAnnulus(
+            f"Im z = {z.imag} makes the theta terms overflow double precision "
+            f"at Im tau = {tau.imag}"
+        )
+    L = -math.log(TAIL_RTOL) + 5
     n_max = math.ceil((b + math.sqrt(b * b + tau.imag * L / math.pi)) / tau.imag) + 3
     acc = 0j
     hF, kF = float(hf), float(kf)

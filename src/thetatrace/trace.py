@@ -15,9 +15,10 @@ The sum is a Gaussian: terms decay like exp(-pi Im(tau) <y,y>) around a
 computable center, so each point needs only the lattice points of one ball
 around it, and the discarded tail is certified per point.  Evaluation is
 batched: for each coset, one enumerated ball covers the balls of a whole
-batch of points, its offsets become arrays once, and each point then costs
-one exponent, one exp and one sum (z_table; z_trace, z_vector and theta_w
-are batches of one).
+batch of points, and its points become integer lists once.  Each point then
+tabulates the d + 1 exponential factors of its terms over those lists with
+cmath.exp, and sums their products in C-level maps (z_table; z_trace,
+z_vector and theta_w are batches of one).  The kernel is plain Python.
 
 Sign bookkeeping: the natural pairing on weight-one module elements is the
 negative of the lattice form, <a(-1)1, b(-1)1> = -<a, b>.  That single sign
@@ -30,9 +31,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import TailBoundViolated
 from .lattice import EvenLattice
@@ -59,6 +59,11 @@ CUSHION = 10**4
 # Relative slack of a float distance^2 against rounding, where a ball is
 # derived from distances rather than enumerated at its own center.
 COVER_SLACK = 1 + 1e-9
+
+# Largest sum of |log| of the factors that _gaussian_sum multiplies into a
+# term, so that no partial product leaves double precision; beyond it every
+# term's exponent is summed and exponentiated whole.
+FACTOR_LOG_CAP = 600.0
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,16 @@ def state_pairing(L: EvenLattice, a: Sequence, b: Sequence) -> complex:
 
 def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
     """The per-point, per-coset-independent part of the kernel: for each point
-    (center, radius^2, a + tau b, tau/2, constant) with the exponent
+    (center, radius^2, coefficients).  With the exponent
 
         <a, m+b/2> + tau <m+b, m+b>/2
-            = tau/2 <m,m> + <a + tau b, G m> + (<a,b> + tau <b,b>)/2
+            = tau/2 <m,m> + <a + tau b, G m> + (<a,b> + tau <b,b>)/2,
 
-    and the own ball (center, radius^2) outside which every term of its sum
-    is below exp(-2 pi margin) of the Gaussian's peak; the margin leaves a
-    factor CUSHION for the lattice count of the discarded tail."""
+    the coefficients are (tau/2, constant, a + tau b), each times 2 pi i as
+    _gaussian_sum takes them.  (center, radius^2) is the own ball outside
+    which every term of its sum is below exp(-2 pi margin) of the Gaussian's
+    peak; the margin leaves a factor CUSHION for the lattice count of the
+    discarded tail."""
     d = L.dim
     margin = (math.log(1.0 / rtol) + math.log(CUSHION)) / (2 * math.pi)
     out = []
@@ -106,9 +113,10 @@ def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
         # with y = m + Re b and w = Re(tau) Im b + Im a; the minimum over real
         # y sits at y* = -w / Im(tau), i.e. at m = y* - Re b
         center = [-(tau.real * b[i].imag + a[i].imag) / tau.imag - b[i].real for i in range(d)]
-        lin = [a[i] + tau * b[i] for i in range(d)]
+        lin = [TWO_PI_I * (a[i] + tau * b[i]) for i in range(d)]
         const = (complex(L.inner(a, b)) + tau * complex(L.inner(b, b))) / 2
-        out.append((center, 2 * margin / tau.imag, lin, tau / 2, const))
+        coeffs = (TWO_PI_I * tau / 2, TWO_PI_I * const, lin)
+        out.append((center, 2 * margin / tau.imag, coeffs))
     return out
 
 
@@ -127,11 +135,11 @@ def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list
     alone, and they run before any term is evaluated.
     """
     d = L.dim
-    c0, bound = max((p[:2] for p in batch), key=lambda ball: ball[1])
+    c0, bound, _ = max(batch, key=lambda p: p[1])
     if len(batch) > 1:
         bound = COVER_SLACK * max(
             (math.sqrt(r2) + math.sqrt(abs(L.norm2([x - y for x, y in zip(c, c0)])))) ** 2
-            for c, r2, *_ in batch
+            for c, r2, _ in batch
         )
         # its volume over the covolume estimates its count: split without
         # enumerating a ball estimated far beyond the cushion, and leave
@@ -158,32 +166,87 @@ def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list
         raise TailBoundViolated(f"tail cushion cannot cover {count} enumerated points")
     beta_f = [float(x) for x in beta]
     if len(batch) > 1:
-        for center, r2, *_ in batch:
+        for center, r2, _ in batch:
             # the coordinatewise rounding of the center settles almost
             # every point; the rest enumerate their own ball alone
             near = [x + round(c - x) - c for x, c in zip(beta_f, center)]
             if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, center, r2)[0]:
                 raise TailBoundViolated("empty enumeration ball for the trace sum")
-    # every temporary is a (d, N) or length-N array
-    m = np.array(cols, dtype=float)
-    m += np.array(beta_f)[:, None]
-    gm = np.array(L.gram, dtype=float) @ m
-    mm = (gm * m).sum(axis=0)
-    gm = gm + 0j
-    sums = []
-    with np.errstate(all="ignore"):
-        for _, _, lin, half_tau, const in batch:
-            expo = np.array(lin) @ gm
-            expo += half_tau * mm
-            expo += const
-            acc = complex(np.exp(TWO_PI_I * expo).sum())
-            if not cmath.isfinite(acc):
-                raise TailBoundViolated(
-                    "trace sum overflows double precision; insertion vectors are "
-                    "outside the desk-scale range"
-                )
-            sums.append(acc)
-    return sums
+    ball = _ball_lists(L, beta_f, cols)
+    return [_gaussian_sum(L, ball, coeffs) for _, _, coeffs in batch]
+
+
+def _ball_lists(L: EvenLattice, beta_f: list, cols: list) -> tuple:
+    """The enumerated ball as integer lists, built once for a whole batch.
+
+    A point of the ball is m = m_0 + y, with m_0 the coset point nearest the
+    origin coordinatewise (so the exponent's parts stay as small as m) and
+    y = offs + idx integral.  Returns (<m_0, G m_0>, G m_0, levels,
+    level_idx, idx, offs, sizes): levels are the distinct integers
+    <y, G y>/2 (L is even) in increasing order and level_idx indexes each
+    point's level; idx lists each coordinate's y from its least, offs, over
+    the range sizes.
+    """
+    g = L.gram
+    d = L.dim
+    shift = [round(b) for b in beta_f]
+    ys = [[n + k for n in col] for col, k in zip(cols, shift)]
+    offs = [min(y) for y in ys]
+    idx = [[v - o for v in y] for y, o in zip(ys, offs)]
+    half = [0] * len(cols[0])
+    for i in range(d):
+        for j in range(i, d):
+            w = g[i][i] // 2 if i == j else g[i][j]
+            if w:
+                half = [h + w * a * b for h, a, b in zip(half, ys[i], ys[j])]
+    levels = sorted(set(half))
+    at = {v: i for i, v in enumerate(levels)}
+    m_0 = [b - k for b, k in zip(beta_f, shift)]
+    g_m0 = [sum(x * y for x, y in zip(row, m_0)) for row in g]
+    mm_0 = sum(x * y for x, y in zip(m_0, g_m0))
+    return mm_0, g_m0, levels, list(map(at.__getitem__, half)), idx, offs, [max(ix) + 1 for ix in idx]
+
+
+def _gaussian_sum(L: EvenLattice, ball: tuple, coeffs: tuple) -> complex:
+    """sum_m exp(h <m, G m> + <l, G m> + c) over the ball of _ball_lists,
+    for coeffs (h, c, l).
+
+    With m = m_0 + y the exponent is k + <u, y> + 2 h <y, G y>/2, with k
+    and u once per point.  While the factors exp(k), exp(h <y, G y>) and
+    exp(u_i y_i) together stay within e^FACTOR_LOG_CAP of 1, each is
+    tabulated over its levels or range by cmath.exp, and a term is the
+    product of d + 1 table entries, all in C-level maps; otherwise each
+    term's exponent takes d + 1 list passes and cmath.exp.
+    """
+    mm_0, g_m0, levels, level_idx, idx, offs, sizes = ball
+    h, c, lin = coeffs
+    u = [2 * h * x + sum(gij * w for gij, w in zip(row, lin)) for x, row in zip(g_m0, L.gram)]
+    k = h * mm_0 + sum(w * x for w, x in zip(lin, g_m0)) + c
+    quad = [2 * h * v for v in levels]
+    reach = abs(k.real) - quad[-1].real + sum(
+        abs(uj.real) * max(abs(o), abs(o + n - 1)) for uj, o, n in zip(u, offs, sizes)
+    )
+    try:
+        if reach <= FACTOR_LOG_CAP:
+            terms = map(list(map(cmath.exp, quad)).__getitem__, level_idx)
+            for uj, o, n, ix in zip(u, offs, sizes, idx):
+                table = list(map(cmath.exp, [uj * (o + i) for i in range(n)]))
+                terms = map(mul, terms, map(table.__getitem__, ix))
+            acc = cmath.exp(k) * sum(terms)
+        else:
+            k += sum(uj * o for uj, o in zip(u, offs))
+            expo = [k + quad[i] for i in level_idx]
+            for uj, ix in zip(u, idx):
+                expo = [e + uj * i for e, i in zip(expo, ix)]
+            acc = sum(map(cmath.exp, expo))
+        if cmath.isfinite(acc):
+            return acc
+    except OverflowError:
+        pass
+    raise TailBoundViolated(
+        "trace sum overflows double precision; insertion vectors are "
+        "outside the desk-scale range"
+    )
 
 
 def _split(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list:
@@ -196,14 +259,14 @@ def z_table(
     points: Sequence[TracePoint],
     im_floor: float = IM_TAU_FLOOR,
     rtol: float = TRACE_RTOL,
-) -> np.ndarray:
+) -> list:
     """z_trace of every point (rows) at every dual coset (columns, in the
     canonical sorted coset order), eta(tau)^d computed once per point and
     each coset's sum over one batched ball (see _lattice_sums)."""
     eta_d = [eta_eval(pt.tau, im_floor) ** L.dim for pt in points]
     batch = _prepare(L, points, rtol)
     sums = [_lattice_sums(L, beta, batch) for beta in L.cosets]
-    return np.array([[s[p] / e for s in sums] for p, e in enumerate(eta_d)], dtype=complex)
+    return [[s[p] / e for s in sums] for p, e in enumerate(eta_d)]
 
 
 def z_trace(
@@ -223,7 +286,7 @@ def z_trace(
 def z_vector(L: EvenLattice, point: TracePoint) -> list:
     """z_trace for every dual coset, in the canonical sorted coset order:
     z_table on one point."""
-    return z_table(L, [point])[0].tolist()
+    return z_table(L, [point])[0]
 
 
 def theta_w(L: EvenLattice, beta: Sequence, a: Sequence, tau: complex) -> complex:

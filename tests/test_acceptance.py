@@ -151,7 +151,7 @@ def test_c07_s_transition_norm4():
     a, _ = fitted
     moduli_gap = float(np.max(np.abs(np.abs(a) - 0.5)))
     assert moduli_gap < 1e-8
-    gauss_gap = float(np.max(np.abs(a - s_matrix_prediction(L4))))
+    gauss_gap = float(np.max(np.abs(np.subtract(a, s_matrix_prediction(L4)))))
     assert gauss_gap < 1e-8
     print(
         f"c07 S transition: holdout={rep['max_error']:.3e} moduli gap={moduli_gap:.1e} "
@@ -205,7 +205,7 @@ def test_c09_rank_two_lattice_and_suite_runtime():
     assert rep["max_error"] < 1e-7
     moduli_gap = float(np.max(np.abs(np.abs(a) - 1 / math.sqrt(3))))
     assert moduli_gap < 1e-7
-    gauss_gap = float(np.max(np.abs(a - s_matrix_prediction(A2))))
+    gauss_gap = float(np.max(np.abs(np.subtract(a, s_matrix_prediction(A2)))))
     assert gauss_gap < 1e-7
     elapsed = time.perf_counter() - _T0
     assert elapsed < 300.0

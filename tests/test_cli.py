@@ -510,6 +510,44 @@ def test_console_script_installed(tmp_path):
     assert json.loads(proc.stdout)["overall"] == "pass", proc.stderr
 
 
+def test_runtime_dependencies_are_empty():
+    # numpy is only the tests' oracle: the package declares no runtime
+    # dependency, and numpy sits in the test extra
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(REPO_DIR / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["numpy-blocked", "numpy-importable"])
+def test_commands_run_without_numpy(blocked):
+    # with numpy made unimportable the commands still run; either way no
+    # numpy module is loaded after them
+    script = (
+        ("import sys\nsys.modules['numpy'] = None\n" if blocked else "")
+        + "import contextlib, io, json, sys\n"
+        "from thetatrace import cli\n"
+        "codes = []\n"
+        "for args in (['fit', '--alpha', '1,0,8,1', '--lattice', 'lattices/a2.json'],\n"
+        "             ['verify', 'all', '--lattice', 'lattices/a2.json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(args))\n"
+        "print(json.dumps([codes, sorted(n for n, mod in sys.modules.items()\n"
+        "                                if n.split('.')[0] == 'numpy' and mod is not None)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        cwd=REPO_DIR, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], []]
+
+
 @pytest.mark.skipif(
     shutil.which("thetatrace") is None, reason="thetatrace executable not on PATH"
 )

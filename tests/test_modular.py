@@ -197,7 +197,7 @@ def test_fit_rejects_degenerate_samples():
 
 def test_fitted_s_matches_gauss_sum_norm4():
     a, rep = fit_and_verify(L4, S, seed=0)
-    gap = np.max(np.abs(a - s_matrix_prediction(L4)))
+    gap = np.max(np.abs(np.subtract(a, s_matrix_prediction(L4))))
     assert gap < 1e-10
     assert rep["max_error"] < 1e-10
     assert rep["n_points"] == 20
@@ -205,7 +205,7 @@ def test_fitted_s_matches_gauss_sum_norm4():
 
 def test_fitted_t_is_diagonal_of_phases():
     a, rep = fit_and_verify(L4, T, seed=1)
-    gap = np.max(np.abs(a - t_matrix_prediction(L4)))
+    gap = np.max(np.abs(np.subtract(a, t_matrix_prediction(L4))))
     assert gap < 1e-10
     diag = np.diag(a)
     for beta, lam in zip(L4.cosets, diag):
@@ -214,7 +214,7 @@ def test_fitted_t_is_diagonal_of_phases():
 
 def test_fitted_s_matches_gauss_sum_a2():
     a, _ = fit_and_verify(A2, S, seed=2)
-    gap = np.max(np.abs(a - s_matrix_prediction(A2)))
+    gap = np.max(np.abs(np.subtract(a, s_matrix_prediction(A2))))
     assert gap < 1e-9
 
 
@@ -240,19 +240,66 @@ def test_word_transition_matches_generator_product():
     assert rep["max_error"] < 1e-9
     fit_t, _ = fit_and_verify(L4, T, seed=8)
     fit_s, _ = fit_and_verify(L4, S, seed=9)
-    prod = fit_t @ fit_s @ fit_t
+    prod = np.array(fit_t) @ fit_s @ fit_t
     assert np.max(np.abs(fit_word - prod)) < 1e-9
 
 
 def test_fitted_matrix_is_read_only():
-    # fit_alpha shares one matrix between callers, so no caller may write it
+    # fit_alpha shares one matrix between callers, so no caller may write it:
+    # it is a tuple of row tuples of complex entries
     a, _ = fit_transition(L4, S, adapted_samples(S, 1, 8, seed=0))
-    assert a.shape == (4, 4) and a.dtype == complex
-    with pytest.raises(ValueError):
-        a[0, 0] = 0
+    assert type(a) is tuple and [type(row) for row in a] == [tuple] * 4
+    assert all(type(x) is complex for row in a for x in row) and [len(row) for row in a] == [4] * 4
+    with pytest.raises(TypeError):
+        a[0][0] = 0
     shared, _ = fit_and_verify(L4, S, seed=0)
-    with pytest.raises(ValueError):
-        shared += 1
+    assert type(shared) is tuple and all(type(row) is tuple for row in shared)
+    with pytest.raises(TypeError):
+        shared[0] = ()
+
+
+def _with_condition(m, seed, cond, scale):
+    """A complex 2m x m matrix U diag(sigma) V^H with singular values spaced
+    geometrically from scale down to scale / cond, and a right-hand side it
+    solves exactly."""
+    rng = np.random.default_rng(seed)
+
+    def orthonormal(rows, cols):
+        q, _ = np.linalg.qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+        return q
+
+    sigma = scale * np.geomspace(1.0, 1.0 / cond, m)
+    a = orthonormal(2 * m, m) @ np.diag(sigma) @ orthonormal(m, m).conj().T
+    x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return a, a @ x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.one_of(st.floats(0.0, 12.0), st.floats(8.0, 12.0), st.just(10.0)),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_solve_matches_numpy_lstsq_and_cond(m, seed, log_cond, log_scale):
+    a, b = _with_condition(m, seed, 10.0**log_cond, 10.0**log_scale)
+    x, cond = modular._solve(a.tolist(), b.tolist())
+    want_cond = np.linalg.cond(a)
+    want_x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    assert abs(cond / want_cond - 1) < 1e-2
+    # the IllConditioned decision, away from 1% of the cap
+    if abs(want_cond / modular.COND_CAP - 1) > 1e-2:
+        assert (cond > modular.COND_CAP) == (want_cond > modular.COND_CAP)
+    assert np.max(np.abs(np.array(x) - want_x)) <= 1e-12 * want_cond * max(
+        1.0, np.max(np.abs(want_x))
+    )
+
+
+def test_solve_refuses_when_the_sweeps_do_not_converge(monkeypatch):
+    a, b = _with_condition(3, 0, 1e3, 1.0)
+    monkeypatch.setattr(modular, "SWEEP_CAP", 1)
+    with pytest.raises(IllConditioned, match="did not converge"):
+        modular._solve(a.tolist(), b.tolist())
 
 
 def test_fit_alpha_memo_is_shared_and_positional():
@@ -271,7 +318,7 @@ def test_fit_alpha_memo_is_shared_and_positional():
 
 def test_s_prediction_is_symmetric_unitary():
     for L in (L4, A2):
-        m = s_matrix_prediction(L)
+        m = np.array(s_matrix_prediction(L))
         assert np.max(np.abs(m - m.T)) < 1e-15
         assert np.max(np.abs(m @ m.conj().T - np.eye(len(L.cosets)))) < 1e-14
 
@@ -281,7 +328,7 @@ def test_s_prediction_entries_norm4():
     for h in range(4):
         for k in range(4):
             want = 0.5 * (1j) ** (-h * k)
-            assert abs(m[h, k] - want) < 1e-15
+            assert abs(m[h][k] - want) < 1e-15
 
 
 def test_random_words_deterministic_and_bounded():

@@ -244,6 +244,34 @@ def test_weierstrass_refuses_pole():
         weierstrass_p(1e-12 + 0j, 1.1j)
 
 
+def test_weierstrass_refuses_a_z_too_large_to_reduce():
+    # both shifts are periods, but in double precision 1e16 and 1e17 tau
+    # swamp z: the reduction used to return -25.3 and 11.9 for 3.26-6.10i
+    z, tau = 0.3 + 0.2j, 1.1j
+    base = weierstrass_p(z, tau)
+    for shifted in (z + 1e16, z + 1e17 * tau):
+        with pytest.raises(OutOfAnnulus, match="too large to reduce"):
+            weierstrass_p(shifted, tau)
+    # a thousand periods away the reduction still moves z by under 1e-12
+    for shifted in (z + 1000, z + 1000 * tau):
+        assert abs(weierstrass_p(shifted, tau) - base) < 1e-10
+
+
+def test_jacobi_theta_refuses_an_overflowing_im_z(monkeypatch):
+    # the largest term is exp(pi (Im z)^2 / Im tau): e^643 at Im z = 15 and
+    # Im tau = 1.1, beyond double precision at 16 and far beyond at 1e7,
+    # which used to raise a bare OverflowError after millions of terms
+    assert cmath.isfinite(jacobi_theta(0, 0, 15j, 1.1j))
+
+    def no_terms(w):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr(cmath, "exp", no_terms)
+    for z in (16j, -16j, 1e7j, 0.3 + 1e7j):
+        with pytest.raises(OutOfAnnulus, match="overflow"):
+            jacobi_theta(0, 0, z, 1.1j)
+
+
 def test_p2_eval_annulus_guard():
     # Im z large enough pushes q_z out of |q| < |q_z| < 1/|q|
     with pytest.raises(OutOfAnnulus):

@@ -27,6 +27,7 @@ from thetatrace.trace import (
 
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
+A3 = EvenLattice(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
 L60 = EvenLattice(((60,),))
 HALF = Fraction(1, 2)
 
@@ -140,7 +141,7 @@ def test_z_trace_rejects_low_tau():
 @pytest.mark.parametrize("L", [L4, A2])
 @pytest.mark.parametrize("im_tau", [0.006, 0.04, 0.3, 1.2])
 def test_lattice_sum_matches_term_by_term_sum(L, im_tau):
-    # the numpy kernel against the literal per-term sum over the same ball
+    # the kernel against the literal per-term sum over the same ball
     d = L.dim
     pt = TracePoint(
         tuple(0.07 - 0.03j * (i + 1) for i in range(d)),
@@ -173,11 +174,37 @@ def test_z_table_batch_matches_z_trace_per_point(L):
         for k, im_tau in enumerate([0.006, 0.04, 0.3, 1.2])
     ]
     table = z_table(L, pts, im_floor=0.001)
-    assert table.shape == (len(pts), len(L.cosets))
+    assert [len(row) for row in table] == [len(L.cosets)] * len(pts)
     for pt, row in zip(pts, table):
         for beta, got in zip(L.cosets, row):
             want = z_trace(L, beta, pt, im_floor=0.001)
             assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("L", [L4, A2, A3])
+def test_factor_tables_match_whole_exponents(monkeypatch, L):
+    # each term is a product of tabulated factors; with FACTOR_LOG_CAP below
+    # zero every point sums its whole exponents instead, and both agree
+    d = L.dim
+    pts = [
+        TracePoint(
+            tuple(0.05 * k - 0.04j * (i - k) for i in range(d)),
+            tuple(0.1 - 0.03j * (i + 1) * k for i in range(d)),
+            complex(0.2 - 0.15 * k, im_tau),
+        )
+        for k, im_tau in enumerate([0.3, 0.7, 1.2])
+    ]
+    products = []
+    monkeypatch.setattr(trace, "mul", lambda x, y: products.append(1) or x * y)
+    tabulated = z_table(L, pts)
+    assert products
+    monkeypatch.setattr(trace, "FACTOR_LOG_CAP", -1.0)
+    products.clear()
+    whole = z_table(L, pts)
+    assert not products
+    for row_t, row_w in zip(tabulated, whole):
+        for t, w in zip(row_t, row_w):
+            assert abs(t - w) <= 1e-13 * max(1.0, abs(w))
 
 
 @pytest.mark.parametrize("shift,covering", [(0.07, 1), (0.35, 0)])
@@ -201,7 +228,7 @@ def test_z_table_splits_a_batch_beyond_the_cushion(monkeypatch, shift, covering)
 
     want = [[z_trace(A2, beta, pt, im_floor=0.001) for beta in A2.cosets] for pt in pts]
     monkeypatch.setattr(EvenLattice, "_ball_offsets", counted)
-    assert z_table(A2, pts, im_floor=0.001).tolist() == want
+    assert z_table(A2, pts, im_floor=0.001) == want
     assert len(counts) == len(A2.cosets) * (len(pts) + covering)
     assert sum(n > trace.CUSHION for n in counts) == len(A2.cosets) * covering
     assert all(n > 5900 for n in counts)
@@ -245,11 +272,10 @@ def test_z_trace_overflow_guard():
 def test_z_trace_tail_cushion_checked_before_summing(monkeypatch):
     # at Im tau = 0.002 the a2 ball holds 11,977 points, more than the 1e4
     # cushion covers; the sum must be refused before any term is evaluated
-    class NoTerms:
-        def __getattr__(self, name):
-            raise AssertionError("a term was summed")
+    def no_terms(*args):
+        raise AssertionError("a term was summed")
 
-    monkeypatch.setattr(trace, "np", NoTerms())
+    monkeypatch.setattr(trace, "_gaussian_sum", no_terms)
     with pytest.raises(TailBoundViolated, match="11977 enumerated points"):
         z_trace(A2, A2.cosets[0], TracePoint((0, 0), (0, 0), 0.002j), im_floor=0.001)
 
