@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from .lattice import EvenLattice
-from .qseries import GRADE_CAP, BiSeries, require_grade
+from .qseries import GRADE_CAP, BiSeries, TruncatedSeries, require_grade
 
 
 def _colored_multisets(budget: int, dims: int):
@@ -228,7 +228,7 @@ def s_function_trace(
             if val:
                 coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
     q_top = int((Fraction(q_order) - shift) * qden)
-    return BiSeries(-x_span, x_span, q_top, coeffs, qden, x_exact=False)
+    return BiSeries(-x_span, x_span, q_top, coeffs, qden)
 
 
 def verify_trace_recursion(
@@ -237,11 +237,13 @@ def verify_trace_recursion(
     vectors: Sequence[Sequence],
     x_span: int,
     q_order: int,
-    closed: BiSeries,
+    closed: BiSeries | TruncatedSeries,
 ) -> dict:
     """Compare the literal trace of s_function_trace against its closed
-    form, a BiSeries such as trace.recursion_series of the same arguments,
-    coefficient by coefficient on the common trusted window.
+    form, such as trace.recursion_series of the same arguments, coefficient
+    by coefficient on the common trusted window.  The closed form of one
+    insertion is a TruncatedSeries, which BiSeries.max_abs_diff lifts to
+    x^0.
     """
     beta = tuple(Fraction(x) for x in beta)
     lhs = s_function_trace(L, beta, vectors, x_span, q_order)

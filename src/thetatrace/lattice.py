@@ -27,7 +27,7 @@ from .errors import (
     NotSymmetric,
     ThetaTraceError,
 )
-from .qseries import TruncatedSeries
+from .qseries import TruncatedSeries, require_grade
 
 ENUM_CAP = 10**7
 COSET_CAP = 10**4  # largest |det| = |L*/L| whose cosets are listed
@@ -273,7 +273,8 @@ class EvenLattice:
         """sum_{m in L+beta} q^{<m,m>/2} with exact integer coefficients,
         trusted through q^q_order, for a dual beta (see check_dual); the
         grades are enumerate_vectors' half-norms, over the lcm of their
-        denominators."""
+        denominators.  q_order above GRADE_CAP raises CutoffTooLarge."""
+        require_grade(q_order)
         pairs = self.enumerate_vectors(self.check_dual(beta), q_order)
         denom = math.lcm(*(h.denominator for _, h in pairs))
         coeffs: dict = {}

@@ -1,11 +1,12 @@
 """Truncated q-expansions and the classical special functions built on them.
 
-Two series containers live here.  `TruncatedSeries` is a Laurent series in
-q^(1/denom) with an explicit trust horizon: coefficients at exponents beyond
-`guaranteed_order` are unknown, not zero, and every arithmetic operation
-propagates that horizon instead of silently pretending exactness.
-`BiSeries` is the two-variable analogue in x and q used by the trace
-recursion, truncated in both variables.
+Two series containers live here, one per number of variables.
+`TruncatedSeries` is a Laurent series in q^(1/denom) with an explicit trust
+horizon: coefficients at exponents beyond `guaranteed_order` are unknown, not
+zero, and every arithmetic operation propagates that horizon instead of
+silently pretending exactness.  Eta, the coset theta series and the module
+characters are such series.  `BiSeries` is the two-variable analogue in x and
+q used by the trace recursion, truncated in both variables.
 
 On top of them sit the evaluators: the Dedekind eta product, the weight-two
 Eisenstein series, the two-variable kernel
@@ -29,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -144,6 +145,8 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = TruncatedSeries.constant(other)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
         a, b = self._aligned(other)
         g = min(
             (o for o in (a.guaranteed_order, b.guaranteed_order) if o is not None),
@@ -162,8 +165,6 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TruncatedSeries.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -179,6 +180,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         a, b = self._aligned(other)
         # the product coefficient at e is exact only while every contributing
         # split lands inside both trust horizons
@@ -265,9 +268,8 @@ class BiSeries:
 
     coeffs maps (j, m) to the coefficient of x^j q^(m/q_denom).  Coefficients
     are trusted for x_min <= j <= x_max and m <= q_order; outside that window
-    they are unknown.  x_exact marks series whose true x-support equals the
-    stored one (e.g. an x-independent character), which widens what products
-    can be trusted.
+    they are unknown.  A series without x is a TruncatedSeries, never a
+    BiSeries.
     """
 
     x_min: int
@@ -275,16 +277,11 @@ class BiSeries:
     q_order: int
     coeffs: dict = field(default_factory=dict)
     q_denom: int = 1
-    x_exact: bool = False
 
     def __post_init__(self):
         cleaned = {}
         for (j, m), v in self.coeffs.items():
-            if v == 0:
-                continue
-            if m > self.q_order:
-                continue
-            if not self.x_exact and not (self.x_min <= j <= self.x_max):
+            if v == 0 or m > self.q_order or not (self.x_min <= j <= self.x_max):
                 continue
             cleaned[(int(j), int(m))] = complex(v)
         object.__setattr__(self, "coeffs", cleaned)
@@ -301,91 +298,64 @@ class BiSeries:
         if q_denom % self.q_denom != 0:
             raise ValueError(f"cannot lift q_denom {self.q_denom} to {q_denom}")
         s = q_denom // self.q_denom
-        return BiSeries(
-            self.x_min,
-            self.x_max,
-            self.q_order * s,
-            {(j, m * s): v for (j, m), v in self.coeffs.items()},
-            q_denom,
-            self.x_exact,
-        )
+        coeffs = {(j, m * s): v for (j, m), v in self.coeffs.items()}
+        return replace(self, q_order=self.q_order * s, coeffs=coeffs, q_denom=q_denom)
 
-    def _aligned(self, other: "BiSeries"):
+    def _aligned(self, other):
+        """self and other over a common q-denominator.  A TruncatedSeries is
+        x^0 times a q-series, known at every x-degree (an exact one at every
+        q-order too): it is lifted into self's window widened to hold x^0."""
+        if isinstance(other, TruncatedSeries):
+            g = math.inf if other.guaranteed_order is None else other.guaranteed_order
+            lifted = {(0, k): v for k, v in other.coeffs.items()}
+            other = BiSeries(min(self.x_min, 0), max(self.x_max, 0), g, lifted, other.denom)
         d = math.lcm(self.q_denom, other.q_denom)
         return self.with_q_denom(d), other.with_q_denom(d)
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
+    def __add__(self, other) -> "BiSeries":
+        if not isinstance(other, (BiSeries, TruncatedSeries)):
+            return NotImplemented
         a, b = self._aligned(other)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
             out[k] = out.get(k, 0j) + v
-        # An x-exact summand is known at every x-degree, so it never narrows
-        # the other side's window; two truncated windows intersect.
-        if a.x_exact and b.x_exact:
-            x_lo, x_hi = min(a.x_min, b.x_min), max(a.x_max, b.x_max)
-        elif a.x_exact:
-            x_lo, x_hi = b.x_min, b.x_max
-        elif b.x_exact:
-            x_lo, x_hi = a.x_min, a.x_max
-        else:
-            x_lo, x_hi = max(a.x_min, b.x_min), min(a.x_max, b.x_max)
-        return BiSeries(
-            x_lo,
-            x_hi,
-            min(a.q_order, b.q_order),
-            out,
-            a.q_denom,
-            a.x_exact and b.x_exact,
-        )
+        x_lo, x_hi = max(a.x_min, b.x_min), min(a.x_max, b.x_max)
+        return BiSeries(x_lo, x_hi, min(a.q_order, b.q_order), out, a.q_denom)
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return BiSeries(
-            self.x_min,
-            self.x_max,
-            self.q_order,
-            {k: -v for k, v in self.coeffs.items()},
-            self.q_denom,
-            self.x_exact,
-        )
+        return replace(self, coeffs={k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value) -> "BiSeries":
-        return BiSeries(
-            self.x_min,
-            self.x_max,
-            self.q_order,
-            {k: v * value for k, v in self.coeffs.items()},
-            self.q_denom,
-            self.x_exact,
-        )
+        return replace(self, coeffs={k: v * value for k, v in self.coeffs.items()})
 
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
+    def __mul__(self, other) -> "BiSeries":
+        """Product with a number or a TruncatedSeries, over self's window."""
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
+        if isinstance(other, BiSeries):
+            raise ValueError("a product of two BiSeries has no trustworthy x-window")
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         a, b = self._aligned(other)
-        if not (a.x_exact or b.x_exact):
-            raise ValueError(
-                "product of two x-truncated BiSeries has no trustworthy x-window; "
-                "one factor must be x-exact"
-            )
         qa_min = min((m for (_, m) in a.coeffs), default=0)
         qb_min = min((m for (_, m) in b.coeffs), default=0)
         q_g = min(a.q_order + qb_min, b.q_order + qa_min)
-        x_min = a.x_min + b.x_min
-        x_max = a.x_max + b.x_max
         out: dict = {}
         for (ja, ma), va in a.coeffs.items():
             for (jb, mb), vb in b.coeffs.items():
                 key = (ja + jb, ma + mb)
-                if key[1] <= q_g and x_min <= key[0] <= x_max:
+                if key[1] <= q_g:
                     out[key] = out.get(key, 0j) + va * vb
-        return BiSeries(x_min, x_max, q_g, out, a.q_denom, a.x_exact and b.x_exact)
+        return BiSeries(a.x_min, a.x_max, q_g, out, a.q_denom)
 
     __rmul__ = __mul__
 
-    def max_abs_diff(self, other: "BiSeries") -> float:
+    def max_abs_diff(self, other) -> float:
         """Largest coefficient discrepancy on the common trusted window;
         math.inf if any compared difference is not finite (max() alone
         would drop a NaN)."""
@@ -563,7 +533,7 @@ def p2_series(x_span: int, q_order: int) -> BiSeries:
             if i > 0:
                 coeffs[(-n, n * i)] = w * n
             i += 1
-    return BiSeries(-x_span, x_span, q_order, coeffs, 1, False)
+    return BiSeries(-x_span, x_span, q_order, coeffs)
 
 
 def weierstrass_p(z: complex, tau: complex) -> complex:

@@ -40,6 +40,7 @@ from .qseries import (
     IM_TAU_FLOOR,
     TWO_PI_I,
     BiSeries,
+    TruncatedSeries,
     eta_eval,
     p2_series,
     require_grade,
@@ -81,6 +82,8 @@ class TracePoint:
         object.__setattr__(self, "tau", complex(self.tau))
         if len(self.a) != len(self.b):
             raise ValueError("a and b must have the same dimension")
+        if not all(map(cmath.isfinite, self.a + self.b)):
+            raise ValueError("insertion vectors must have finite coordinates")
         if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
             raise ValueError("tau must be a finite point of the upper half-plane")
 
@@ -330,9 +333,9 @@ def colored_partition_counts(colors: int, n_max: int) -> list:
 
 def moment_series(
     L: EvenLattice, beta: Sequence, weights: Sequence[Sequence], q_order: int
-) -> BiSeries:
-    """sum_m prod_w <w, m> q^{<m,m>/2} over L+beta, an x-exact BiSeries
-    trusted through q^q_order.
+) -> TruncatedSeries:
+    """sum_m prod_w <w, m> q^{<m,m>/2} over L+beta, trusted through
+    q^q_order.
 
     weights is a (possibly empty) list of complex vectors; the empty product
     makes this the plain coset theta series.  The grades are the exact
@@ -346,7 +349,9 @@ def moment_series(
     return _moments(L, pairs, weights, q_order)
 
 
-def _moments(L: EvenLattice, pairs: list, weights: Sequence[Sequence], q_order: int) -> BiSeries:
+def _moments(
+    L: EvenLattice, pairs: list, weights: Sequence[Sequence], q_order: int
+) -> TruncatedSeries:
     """moment_series over the (point, half-norm) pairs of one enumeration."""
     den = math.lcm(*(h.denominator for _, h in pairs))
     coeffs: dict = {}
@@ -355,16 +360,16 @@ def _moments(L: EvenLattice, pairs: list, weights: Sequence[Sequence], q_order: 
         val = 1.0 + 0j
         for wv in weights:
             val *= complex(L.inner(wv, mf))
-        key = (0, int(half * den))
+        key = int(half * den)
         coeffs[key] = coeffs.get(key, 0j) + val
-    return BiSeries(0, 0, q_order * den, coeffs, den, x_exact=True)
+    return TruncatedSeries(den, coeffs, q_order * den)
 
 
 def graded_trace_series(
     L: EvenLattice, beta: Sequence, q_order: int, weights: Sequence[Sequence] = ()
-) -> BiSeries:
+) -> TruncatedSeries:
     """q-expansion of tr_{W_beta} [prod_w w(0)] q^{L(0) - d/24} through
-    lattice grade q_order, as an x-exact BiSeries.
+    lattice grade q_order.
 
     Zero modes are constant on oscillator towers, so the trace factors into
     the weighted coset sum times eta^-d = q^{-d/24} prod (1-q^n)^-d.  Half
@@ -382,25 +387,23 @@ def _graded_traces(
     require_grade(q_order)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
-    eta_inv = BiSeries(
-        0, 0, 24 * q_order - d, {(0, 24 * n - d): c for n, c in enumerate(osc)}, 24,
-        x_exact=True,
-    )
+    eta_inv = TruncatedSeries(24, {24 * n - d: c for n, c in enumerate(osc)}, 24 * q_order - d)
     pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
     return [_moments(L, pairs, weights, q_order) * eta_inv for weights in weight_lists]
 
 
 def recursion_series(
     L: EvenLattice, beta: Sequence, vectors: Sequence[Sequence], x_span: int, q_order: int
-) -> BiSeries:
+) -> TruncatedSeries | BiSeries:
     """Closed side of the trace recursion whose literal side is
     fock.s_function_trace, through lattice grade q_order.
 
-    One vector v: tr v(0) q^{L(0)-d/24}.  Two vectors: the weighted
-    character tr v1(0) v2(0) q^{L(0)-d/24} plus <-v1, v2> P2(x, q)/(2 pi i)^2
-    times the plain character, both characters from one enumeration of
-    L + beta and the kernel through x^{+-x_span}.  Any other number of
-    vectors, or a beta outside the dual lattice, raises ValueError.
+    One vector v: the TruncatedSeries tr v(0) q^{L(0)-d/24}.  Two vectors:
+    the BiSeries <-v1, v2> P2(x, q)/(2 pi i)^2 times the plain character
+    plus the weighted character tr v1(0) v2(0) q^{L(0)-d/24}, both
+    characters from one enumeration of L + beta and the kernel through
+    x^{+-x_span}.  Any other number of vectors, or a beta outside the dual
+    lattice, raises ValueError.
     """
     if len(vectors) not in (1, 2):
         raise ValueError("only one or two insertion vectors are supported")
@@ -409,7 +412,7 @@ def recursion_series(
     weighted, plain = _graded_traces(L, beta, q_order, [list(vectors), ()])
     v1, v2 = vectors
     pairing = state_pairing(L, [-complex(x) for x in v1], v2)
-    return weighted + p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2) * plain
+    return p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2) * plain + weighted
 
 
 def insertion_counts_by_grade(

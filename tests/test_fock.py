@@ -2,6 +2,7 @@ import ast
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,8 +215,8 @@ def test_single_insertion_matches_weighted_character():
     v = (0.7,)
     series = s_function_trace(L4, beta, [v], 0, 5)
     closed = graded_trace_series(L4, beta, 5, weights=[v])
-    for (_, m), val in closed.coeffs.items():
-        assert abs(series.coefficient(0, Fraction(m, closed.q_denom)) - val) < 1e-12
+    for m, val in closed.coeffs.items():
+        assert abs(series.coefficient(0, Fraction(m, closed.denom)) - val) < 1e-12
 
 
 def test_orthogonal_insertions_have_no_x_dependence():
@@ -322,7 +323,7 @@ def test_recursion_enumerates_the_coset_once(monkeypatch, vectors):
 def test_fock_imports_nothing_from_trace():
     # the oracle stays independent of the closed forms it checks; importing
     # thetatrace loads trace anyway, so only the source can show this
-    tree = ast.parse(open(fock.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(fock.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -389,7 +390,7 @@ def per_state_trace(L, beta, vectors, x_span, q_order):
             if val:
                 coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
     q_top = int((Fraction(q_order) - shift) * qden)
-    return BiSeries(-x_span, x_span, q_top, coeffs, qden, x_exact=False)
+    return BiSeries(-x_span, x_span, q_top, coeffs, qden)
 
 
 MEMO_CASES = [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from thetatrace.errors import (
     BoundTooLarge,
+    CutoffTooLarge,
     LatticeFileError,
     NotEven,
     NotPositiveDefinite,
@@ -18,6 +19,7 @@ from thetatrace.errors import (
 )
 from thetatrace import lattice
 from thetatrace.lattice import EvenLattice, load_lattice
+from thetatrace.qseries import GRADE_CAP
 
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
@@ -350,6 +352,18 @@ def test_enumerate_vectors_pairs_carry_exact_half_norms(L):
 # ---------------------------------------------------------------------------
 # theta series
 # ---------------------------------------------------------------------------
+
+
+def test_theta_series_refuses_a_grade_above_the_cap(monkeypatch):
+    # without the cap, order 2000 on A3 enumerated for over a minute
+    assert L4.theta_series((0,), GRADE_CAP).guaranteed_order == GRADE_CAP
+
+    def boom(*args):
+        raise AssertionError("enumerated above the grade cap")
+
+    monkeypatch.setattr(EvenLattice, "enumerate_vectors", boom)
+    with pytest.raises(CutoffTooLarge):
+        A3.theta_series(A3.cosets[1], GRADE_CAP + 1)
 
 
 def test_theta_series_rejects_a_coset_outside_the_dual():

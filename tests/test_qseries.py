@@ -395,10 +395,10 @@ def test_biseries_add_intersects_truncated_windows():
 
 def test_biseries_add_exact_side_never_narrows():
     wide = BiSeries(-4, 4, 6, {(k, 0): 1.0 for k in range(-4, 5)})
-    char = BiSeries(0, 0, 6, {(0, 0): 2.0, (0, 1): 5.0}, 1, True)
+    char = TruncatedSeries(1, {0: 2.0, 1: 5.0}, 6)
     c = wide + char
     assert (c.x_min, c.x_max) == (-4, 4)
-    assert not c.x_exact
+    assert isinstance(c, BiSeries)
     assert c.coefficient(-4, 0) == 1.0
     assert c.coefficient(0, 0) == 3.0
     d = char + wide
@@ -410,7 +410,7 @@ def test_biseries_mul_needs_exact_factor():
     a = BiSeries(-2, 2, 5, {(1, 0): 1.0})
     with pytest.raises(ValueError):
         a * a
-    char = BiSeries(0, 0, 5, {(0, 0): 2.0}, 1, True)
+    char = TruncatedSeries(1, {0: 2.0}, 5)
     prod = a * char
     assert prod.coefficient(1, 0) == 2.0
     assert (prod.x_min, prod.x_max) == (-2, 2)
@@ -419,7 +419,7 @@ def test_biseries_mul_needs_exact_factor():
 def test_biseries_mul_q_trust_accounts_for_leading_exponent():
     # a's unknown tail starts at q^5 and meets b's leading q^0, so the
     # product is only trusted through q^4 = min(4+0, 3+2)
-    a = BiSeries(0, 0, 4, {(0, 2): 1.0}, 1, True)
+    a = TruncatedSeries(1, {2: 1.0}, 4)
     b = BiSeries(-1, 1, 3, {(1, 0): 1.0, (1, 3): 4.0})
     prod = a * b
     assert prod.q_order == 4
@@ -428,12 +428,49 @@ def test_biseries_mul_q_trust_accounts_for_leading_exponent():
 
 
 def test_biseries_q_denom_alignment():
-    a = BiSeries(0, 0, 24, {(0, 1): 1.0}, 24, True)   # q^(1/24)
-    b = BiSeries(0, 0, 2, {(0, 1): 1.0}, 2, True)     # q^(1/2)
-    c = a + b
+    a = TruncatedSeries(24, {1: 1.0}, 24)   # q^(1/24)
+    b = BiSeries(0, 0, 2, {(0, 1): 1.0}, 2)  # q^(1/2)
+    c = b + a
     assert c.q_denom == 24
     assert c.coefficient(0, Fraction(1, 24)) == 1.0
     assert c.coefficient(0, Fraction(1, 2)) == 1.0
+
+
+def test_truncated_series_operand_works_in_either_position():
+    t = TruncatedSeries(1, {0: 1.0, 2: 3.0}, 3)
+    bi = BiSeries(-1, 1, 4, {(1, 0): 2.0, (0, 1): 5.0})
+    for s in (t + bi, bi + t):
+        assert isinstance(s, BiSeries)
+        assert (s.x_min, s.x_max, s.q_order) == (-1, 1, 3)
+        assert s.coeffs == {(1, 0): 2.0, (0, 1): 5.0, (0, 0): 1.0, (0, 2): 3.0}
+    assert (t * bi).coeffs == (bi * t).coeffs
+    assert (t * bi).coefficient(1, 2) == 6.0
+    assert (t - bi).coefficient(1, 0) == -2.0
+    assert bi.max_abs_diff(t) == 5.0
+
+
+def test_biseries_lifts_a_truncated_series_into_any_window():
+    # x^0 lies outside the window, yet the factor is known there
+    bi = BiSeries(1, 3, 4, {(2, 1): 1.0})
+    prod = bi * TruncatedSeries(1, {0: 2.0, 1: 1.0}, 4)
+    assert (prod.x_min, prod.x_max, prod.q_order) == (1, 3, 4)
+    assert prod.coeffs == {(2, 1): 2.0, (2, 2): 1.0}
+    # an exact factor is trusted at every q-order
+    doubled = TruncatedSeries.constant(2) * bi
+    assert doubled == bi.scale(2)
+    # x^0 is outside the window, so the sum does not keep it
+    assert bi + TruncatedSeries.constant(1) == bi
+
+
+@pytest.mark.parametrize("other", ["x", None, [1.0]])
+def test_series_arithmetic_refuses_a_foreign_operand(other):
+    t = TruncatedSeries(1, {0: 1.0}, 3)
+    bi = BiSeries(-1, 1, 3, {(1, 0): 1.0})
+    for s in (t, bi):
+        for op in (lambda: s + other, lambda: other + s, lambda: s * other,
+                   lambda: s - other, lambda: other - s):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_biseries_max_abs_diff_ignores_outside_window():
