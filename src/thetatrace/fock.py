@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from .lattice import EvenLattice
-from .qseries import GRADE_CAP, BiSeries, TruncatedSeries, require_grade
+from .qseries import GRADE_CAP, BiSeries, TruncatedSeries  # noqa: F401  build_basis's cap
 
 
 def _colored_multisets(budget: int, dims: int):
@@ -53,13 +53,11 @@ def build_basis(
     of the modes, computed once, here.
 
     Memoized: the census and recursion checks of one run share each basis.
-    beta must be hashable (a tuple); a coset outside the dual lattice raises
-    ValueError, since L + beta is then no module.  A grade_max above
-    GRADE_CAP raises CutoffTooLarge.
+    beta must be hashable (a tuple).  enumerate_vectors refuses a coset
+    outside the dual lattice (L + beta is then no module) and a grade_max
+    below 0 or above GRADE_CAP.
     """
-    beta = L.check_dual(beta)
     grade_max = Fraction(grade_max)
-    require_grade(grade_max)
     states = []
     for m, base in L.enumerate_vectors(beta, grade_max):
         for modes in _colored_multisets(int(grade_max - base), L.dim):

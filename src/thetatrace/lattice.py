@@ -262,7 +262,11 @@ class EvenLattice:
     def enumerate_vectors(self, beta: Sequence, bound) -> list:
         """Every m in L + beta with <m, m>/2 <= bound, as (m, <m, m>/2) pairs
         sorted by m; the half-norm is an exact Fraction.  This is the one
-        place that grades the coset points of the exact series."""
+        place that grades the coset points of the exact series, and their one
+        gate: before enumerating, it refuses a non-dual beta or a negative
+        bound (ValueError) and a bound above GRADE_CAP (CutoffTooLarge)."""
+        require_grade(bound)
+        beta = self.check_dual(beta)
         zero = [Fraction(0)] * self.dim
         pts = self.points_in_ball(beta, zero, 2 * Fraction(bound))
         return sorted((m, self.norm2(m) / 2) for m in pts)
@@ -271,11 +275,9 @@ class EvenLattice:
 
     def theta_series(self, beta: Sequence, q_order: int) -> TruncatedSeries:
         """sum_{m in L+beta} q^{<m,m>/2} with exact integer coefficients,
-        trusted through q^q_order, for a dual beta (see check_dual); the
-        grades are enumerate_vectors' half-norms, over the lcm of their
-        denominators.  q_order above GRADE_CAP raises CutoffTooLarge."""
-        require_grade(q_order)
-        pairs = self.enumerate_vectors(self.check_dual(beta), q_order)
+        trusted through q^q_order; the grades are enumerate_vectors'
+        half-norms, over the lcm of their denominators."""
+        pairs = self.enumerate_vectors(beta, q_order)
         denom = math.lcm(*(h.denominator for _, h in pairs))
         coeffs: dict = {}
         for _, h in pairs:

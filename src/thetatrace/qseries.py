@@ -48,7 +48,7 @@ TAIL_RTOL = 1e-19
 
 _MAX_TERMS = 200_000
 
-# weierstrass_p refuses z this close to a period lattice point.
+# p2_eval refuses z this close to an integer, its only poles in its annulus.
 POLE_RADIUS = 1e-8
 
 # weierstrass_p refuses z whose reduction into the period cell may move it
@@ -78,6 +78,8 @@ def _require_finite_z(z: complex) -> None:
 
 
 def require_grade(grade_max) -> None:
+    if grade_max < 0:
+        raise ValueError(f"grade cutoff {grade_max} is negative")
     if grade_max > GRADE_CAP:
         raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
 
@@ -101,7 +103,7 @@ class TruncatedSeries:
     guaranteed_order: Optional[int] = None
 
     def __post_init__(self):
-        if self.denom < 1:
+        if type(self.denom) is not int or self.denom < 1:
             raise ValueError("denom must be a positive integer")
         cleaned = {int(k): complex(v) for k, v in self.coeffs.items() if v != 0}
         if self.guaranteed_order is not None:
@@ -359,6 +361,8 @@ class BiSeries:
         """Largest coefficient discrepancy on the common trusted window;
         math.inf if any compared difference is not finite (max() alone
         would drop a NaN)."""
+        if not isinstance(other, (BiSeries, TruncatedSeries)):
+            raise TypeError(f"cannot compare a BiSeries with {type(other).__name__}")
         a, b = self._aligned(other)
         x_lo, x_hi = max(a.x_min, b.x_min), min(a.x_max, b.x_max)
         q_hi = min(a.q_order, b.q_order)
@@ -391,9 +395,11 @@ class BiSeries:
 
 
 def _adaptive_order(abs_q: float) -> int:
-    """Smallest N with |q|^N below TAIL_RTOL (plus a fixed pad)."""
+    """Smallest N with |q|^N below TAIL_RTOL (plus a fixed pad); 0 once q underflows."""
     if abs_q >= 1.0:
         raise ImTooSmall("q is not inside the unit disc")
+    if abs_q == 0.0:
+        return 0
     return max(4, math.ceil(math.log(TAIL_RTOL) / math.log(abs_q))) + 4
 
 
@@ -482,10 +488,13 @@ def p2_eval(z: complex, tau: complex) -> complex:
         s(w) = w/(1-w)^2,
 
     which converges exactly on the annulus |q| < |q_z| < 1/|q| and is what
-    the direct double sum rearranges to.
+    the direct double sum rearranges to.  Its poles there are the integers
+    z; z within POLE_RADIUS of one is refused (PoleAtLatticePoint).
     """
     require_im(tau)
     _require_finite_z(z)
+    if abs(z - round(z.real)) < POLE_RADIUS:
+        raise PoleAtLatticePoint(f"z = {z} is within {POLE_RADIUS} of an integer")
     q = q_power(tau, 1)
     qz = cmath.exp(TWO_PI_I * z)
     ratio = max(abs(q * qz), abs(q / qz))
@@ -539,10 +548,10 @@ def p2_series(x_span: int, q_order: int) -> BiSeries:
 def weierstrass_p(z: complex, tau: complex) -> complex:
     """Weierstrass elliptic function for the lattice Z tau + Z.
 
-    Computed as P2(z, tau) - G2(tau) after reducing z into the fundamental
-    cell by periodicity; z within POLE_RADIUS of a lattice point is refused,
-    and so is z so large that the reduction's rounding may move it by more
-    than REDUCTION_ATOL (OutOfAnnulus).
+    Computed as P2(z, tau) - G2(tau) after reducing z to |Re z| <= 1/2 and
+    |Im z| <= Im tau/2: z near any period lattice point lands near 0, where
+    p2_eval refuses it (PoleAtLatticePoint).  z so large that the reduction's
+    rounding may move it by more than REDUCTION_ATOL is refused (OutOfAnnulus).
     """
     require_im(tau)
     _require_finite_z(z)
@@ -555,11 +564,6 @@ def weierstrass_p(z: complex, tau: complex) -> complex:
         )
     z_red = z - m * tau
     z_red -= round(z_red.real)
-    dist = min(
-        abs(z_red - (a * tau + b)) for a in (-1, 0, 1) for b in (-1, 0, 1)
-    )
-    if dist < POLE_RADIUS:
-        raise PoleAtLatticePoint(f"z = {z} is within {POLE_RADIUS} of a lattice point")
     return p2_eval(z_red, tau) - g2_eval(tau)
 
 

@@ -43,7 +43,6 @@ from .qseries import (
     TruncatedSeries,
     eta_eval,
     p2_series,
-    require_grade,
     require_im,
 )
 
@@ -266,6 +265,8 @@ def z_table(
     """z_trace of every point (rows) at every dual coset (columns, in the
     canonical sorted coset order), eta(tau)^d computed once per point and
     each coset's sum over one batched ball (see _lattice_sums)."""
+    if not points:
+        return []
     eta_d = [eta_eval(pt.tau, im_floor) ** L.dim for pt in points]
     batch = _prepare(L, points, rtol)
     sums = [_lattice_sums(L, beta, batch) for beta in L.cosets]
@@ -321,7 +322,9 @@ def t_phase(L: EvenLattice, beta: Sequence) -> complex:
 
 def colored_partition_counts(colors: int, n_max: int) -> list:
     """Coefficients of prod_{k>=1} (1-q^k)^(-colors) through q^n_max,
-    exact integers."""
+    exact integers; a negative n_max raises ValueError."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     c = [0] * (n_max + 1)
     c[0] = 1
     for k in range(1, n_max + 1):
@@ -341,12 +344,8 @@ def moment_series(
     makes this the plain coset theta series.  The grades are the exact
     half-norms of enumerate_vectors, and the q-denominator is the lcm of
     their denominators; terms are summed in the pairs' (sorted) order.
-    beta must be dual (ValueError otherwise); q_order above GRADE_CAP raises
-    CutoffTooLarge.
     """
-    require_grade(q_order)
-    pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
-    return _moments(L, pairs, weights, q_order)
+    return _moments(L, L.enumerate_vectors(beta, q_order), weights, q_order)
 
 
 def _moments(
@@ -374,7 +373,6 @@ def graded_trace_series(
     Zero modes are constant on oscillator towers, so the trace factors into
     the weighted coset sum times eta^-d = q^{-d/24} prod (1-q^n)^-d.  Half
     norms are >= 0, so the product is trusted through q^{q_order - d/24}.
-    q_order above GRADE_CAP raises CutoffTooLarge.
     """
     return _graded_traces(L, beta, q_order, [weights])[0]
 
@@ -384,11 +382,10 @@ def _graded_traces(
 ) -> list:
     """graded_trace_series for each weights of weight_lists, all from one
     enumeration of L + beta."""
-    require_grade(q_order)
+    pairs = L.enumerate_vectors(beta, q_order)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
     eta_inv = TruncatedSeries(24, {24 * n - d: c for n, c in enumerate(osc)}, 24 * q_order - d)
-    pairs = L.enumerate_vectors(L.check_dual(beta), q_order)
     return [_moments(L, pairs, weights, q_order) * eta_inv for weights in weight_lists]
 
 
@@ -423,13 +420,11 @@ def insertion_counts_by_grade(
 
     The count over m at grade g is the colored-partition number of
     g - <m,m>/2.  This is the exact-integer side of the Fock cross-check.
-    beta must be dual (ValueError otherwise); grade_max above GRADE_CAP
-    raises CutoffTooLarge.
     """
-    require_grade(grade_max)
+    pairs = L.enumerate_vectors(beta, grade_max)
     osc = colored_partition_counts(L.dim, grade_max)
     out: dict = {}
-    for m, half in L.enumerate_vectors(L.check_dual(beta), grade_max):
+    for m, half in pairs:
         for n in range(int(grade_max - half) + 1):
             out.setdefault(half + n, {})[m] = osc[n]
     return out

@@ -349,6 +349,28 @@ def test_enumerate_vectors_pairs_carry_exact_half_norms(L):
         assert pts == sorted(pts)
 
 
+@pytest.mark.parametrize(
+    "beta,bound,error,match",
+    [
+        ((Fraction(1, 5),), 4, ValueError, "dual"),
+        ((0, 0), 4, ValueError, "coordinates"),
+        ((0,), -1, ValueError, "negative"),
+        ((0,), GRADE_CAP + 1, CutoffTooLarge, "cap"),
+    ],
+    ids=["non-dual", "wrong-dimension", "negative", "above-cap"],
+)
+def test_enumerate_vectors_refuses_bad_input_before_enumerating(
+    monkeypatch, beta, bound, error, match
+):
+    # the one gate of every exact coset series
+    def boom(*args):
+        raise AssertionError("enumerated a refused input")
+
+    monkeypatch.setattr(EvenLattice, "points_in_ball", boom)
+    with pytest.raises(error, match=match):
+        L4.enumerate_vectors(beta, bound)
+
+
 # ---------------------------------------------------------------------------
 # theta series
 # ---------------------------------------------------------------------------
@@ -361,7 +383,7 @@ def test_theta_series_refuses_a_grade_above_the_cap(monkeypatch):
     def boom(*args):
         raise AssertionError("enumerated above the grade cap")
 
-    monkeypatch.setattr(EvenLattice, "enumerate_vectors", boom)
+    monkeypatch.setattr(EvenLattice, "points_in_ball", boom)
     with pytest.raises(CutoffTooLarge):
         A3.theta_series(A3.cosets[1], GRADE_CAP + 1)
 

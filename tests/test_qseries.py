@@ -244,6 +244,27 @@ def test_weierstrass_refuses_pole():
         weierstrass_p(1e-12 + 0j, 1.1j)
 
 
+@pytest.mark.parametrize("tau", [1.1j, 0.3 + 1.1j])
+def test_weierstrass_refuses_a_pole_off_the_origin(tau):
+    # the reduction carries every period lattice point to p2_eval's guard at 0
+    for z in (1 + 1e-12, tau + 1e-12, -tau - 1 + 1e-12):
+        with pytest.raises(PoleAtLatticePoint):
+            weierstrass_p(z, tau)
+
+
+def test_evaluators_where_q_underflows():
+    # |q| = e^{-400 pi} is 0 in double precision, so no product term is
+    # left; the evaluators used to take log(0) and raise a bare ValueError
+    tau = 200j
+    assert q_power(tau, 1) == 0
+    assert eta_eval(tau) == q_power(tau, Fraction(1, 24)) != 0
+    assert eta_eval(119j) == q_power(119j, Fraction(1, 24))
+    assert g2_eval(tau) == math.pi**2 / 3
+    qz = cmath.exp(2j * math.pi * 0.3)
+    want = (2j * math.pi) ** 2 * qz / (1 - qz) ** 2 - math.pi**2 / 3
+    assert abs(weierstrass_p(0.3, tau) - want) < 1e-12 * abs(want)
+
+
 def test_weierstrass_refuses_a_z_too_large_to_reduce():
     # both shifts are periods, but in double precision 1e16 and 1e17 tau
     # swamp z: the reduction used to return -25.3 and 11.9 for 3.26-6.10i
@@ -276,6 +297,15 @@ def test_p2_eval_annulus_guard():
     # Im z large enough pushes q_z out of |q| < |q_z| < 1/|q|
     with pytest.raises(OutOfAnnulus):
         p2_eval(0.0 + 2.0j, 0.5j)
+
+
+@pytest.mark.parametrize("z", [0, 1, -2 + 1e-12j, 3 - 1e-9])
+def test_p2_eval_refuses_its_poles(z):
+    # the integers are the kernel's only poles in its annulus: at 0 it used
+    # to divide by zero, and at 1 to return 6.58e32 - 1.61e17i
+    with pytest.raises(PoleAtLatticePoint, match="integer"):
+        p2_eval(z, 1j)
+    assert cmath.isfinite(p2_eval(z + 1e-6, 1j))
 
 
 def test_p2_series_window_and_coefficients():
@@ -471,6 +501,18 @@ def test_series_arithmetic_refuses_a_foreign_operand(other):
                    lambda: s - other, lambda: other - s):
             with pytest.raises(TypeError):
                 op()
+
+
+@pytest.mark.parametrize("other", [3, "x", None])
+def test_biseries_max_abs_diff_refuses_a_foreign_operand(other):
+    with pytest.raises(TypeError):
+        BiSeries(-1, 1, 3, {(1, 0): 1.0}).max_abs_diff(other)
+
+
+@pytest.mark.parametrize("denom", [1.5, True, 0])
+def test_truncated_series_refuses_a_denom_that_is_no_positive_int(denom):
+    with pytest.raises(ValueError, match="positive integer"):
+        TruncatedSeries(denom, {1: 1.0})
 
 
 def test_biseries_max_abs_diff_ignores_outside_window():

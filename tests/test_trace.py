@@ -7,6 +7,7 @@ import pytest
 
 from thetatrace import trace
 from thetatrace.errors import CutoffTooLarge, ImTooSmall, TailBoundViolated
+from thetatrace.fock import build_basis
 from thetatrace.lattice import EvenLattice
 from thetatrace.qseries import GRADE_CAP, eta_eval, jacobi_theta
 from thetatrace.trace import (
@@ -141,6 +142,19 @@ def test_z_vector_follows_coset_order():
     assert len(vec) == 4
     for beta, val in zip(L4.cosets, vec):
         assert val == z_trace(L4, beta, pt)
+
+
+def test_z_trace_where_q_underflows():
+    # at Im tau = 200 q is 0 in double precision; eta used to take log(0)
+    pt = TracePoint((0.1,), (0.1,), 200j)
+    got = z_trace(L4, (0,), pt)
+    assert cmath.isfinite(got)
+    assert abs(got - _brute_z_trace(L4, (0,), pt, span=3)) < 1e-12 * abs(got)
+
+
+@pytest.mark.parametrize("L", [L4, A2, A3], ids=["norm4", "a2", "a3"])
+def test_z_table_of_no_points_is_empty(L):
+    assert z_table(L, []) == []
 
 
 def test_z_trace_rejects_low_tau():
@@ -333,7 +347,7 @@ def _refuse_enumeration(monkeypatch):
     def boom(*args):
         raise AssertionError("enumerated above the grade cap")
 
-    monkeypatch.setattr(EvenLattice, "enumerate_vectors", boom)
+    monkeypatch.setattr(EvenLattice, "points_in_ball", boom)
     monkeypatch.setattr(trace, "colored_partition_counts", boom)
 
 
@@ -348,6 +362,30 @@ def test_moment_series_refuses_a_grade_above_the_cap(monkeypatch):
     _refuse_enumeration(monkeypatch)
     with pytest.raises(CutoffTooLarge):
         moment_series(L4, (0,), [(1.0,)], GRADE_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: L4.theta_series((0,), -1),
+        lambda: moment_series(L4, (0,), [(1.0,)], -1),
+        lambda: graded_trace_series(L4, (0,), -1),
+        lambda: insertion_counts_by_grade(L4, (0,), -1),
+        lambda: build_basis(L4, (0,), -1),
+    ],
+    ids=["theta_series", "moment_series", "graded_trace_series", "insertion_counts", "build_basis"],
+)
+def test_exact_builders_refuse_a_negative_cutoff(monkeypatch, build):
+    # two used to raise IndexError and three to return an empty result
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(ValueError, match="negative"):
+        build()
+
+
+def test_colored_partition_counts_refuse_a_negative_order():
+    assert colored_partition_counts(1, 0) == [1]
+    with pytest.raises(ValueError, match="nonnegative"):
+        colored_partition_counts(1, -1)
 
 
 @pytest.mark.parametrize("L", [L4, A2, A3], ids=["norm4", "a2", "a3"])
