@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -89,25 +90,39 @@ def q_power(tau: complex, exponent) -> complex:
     return cmath.exp(TWO_PI_I * tau * float(exponent))
 
 
+def _require_positive_int(name: str, value) -> None:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
+def _require_int_horizon(value) -> None:
+    if type(value) is not int:
+        raise ValueError(f"the trust horizon must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Laurent series in q^(1/denom), trusted through guaranteed_order.
 
     coeffs maps integer keys k to the coefficient of q^(k/denom).  Stored
-    keys never exceed guaranteed_order (None meaning the series is known
-    exactly at every order, e.g. a polynomial).
+    keys never exceed guaranteed_order.  A number enters a series only
+    through scale.
     """
 
     denom: int
-    coeffs: dict = field(default_factory=dict)
-    guaranteed_order: Optional[int] = None
+    coeffs: dict
+    guaranteed_order: int
 
     def __post_init__(self):
-        if type(self.denom) is not int or self.denom < 1:
-            raise ValueError("denom must be a positive integer")
-        cleaned = {int(k): complex(v) for k, v in self.coeffs.items() if v != 0}
-        if self.guaranteed_order is not None:
-            cleaned = {k: v for k, v in cleaned.items() if k <= self.guaranteed_order}
+        _require_positive_int("denom", self.denom)
+        g = self.guaranteed_order
+        _require_int_horizon(g)
+        index = operator.index
+        cleaned = {}
+        for k, v in self.coeffs.items():
+            k = index(k)
+            if v != 0 and k <= g:
+                cleaned[k] = complex(v)
         object.__setattr__(self, "coeffs", cleaned)
 
     # -- basic views -------------------------------------------------
@@ -123,10 +138,6 @@ class TruncatedSeries:
             return 0j
         return self.coeffs.get(int(key), 0j)
 
-    @classmethod
-    def constant(cls, value) -> "TruncatedSeries":
-        return cls(1, {0: complex(value)})
-
     # -- denominator lifting -----------------------------------------
 
     def with_denom(self, denom: int) -> "TruncatedSeries":
@@ -135,8 +146,8 @@ class TruncatedSeries:
         if denom % self.denom != 0:
             raise ValueError(f"cannot lift denom {self.denom} to {denom}")
         s = denom // self.denom
-        g = None if self.guaranteed_order is None else self.guaranteed_order * s
-        return TruncatedSeries(denom, {k * s: v for k, v in self.coeffs.items()}, g)
+        coeffs = {k * s: v for k, v in self.coeffs.items()}
+        return TruncatedSeries(denom, coeffs, self.guaranteed_order * s)
 
     def _aligned(self, other: "TruncatedSeries"):
         d = math.lcm(self.denom, other.denom)
@@ -145,19 +156,13 @@ class TruncatedSeries:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TruncatedSeries.constant(other)
-        elif not isinstance(other, TruncatedSeries):
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         a, b = self._aligned(other)
-        g = min(
-            (o for o in (a.guaranteed_order, b.guaranteed_order) if o is not None),
-            default=None,
-        )
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
             out[k] = out.get(k, 0j) + v
-        return TruncatedSeries(a.denom, out, g)
+        return TruncatedSeries(a.denom, out, min(a.guaranteed_order, b.guaranteed_order))
 
     __radd__ = __add__
 
@@ -180,59 +185,49 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         a, b = self._aligned(other)
         # the product coefficient at e is exact only while every contributing
         # split lands inside both trust horizons
-        cands = []
-        if a.guaranteed_order is not None:
-            cands.append(a.guaranteed_order + (b.min_exp if b.coeffs else 0))
-        if b.guaranteed_order is not None:
-            cands.append(b.guaranteed_order + (a.min_exp if a.coeffs else 0))
-        g = min(cands) if cands else None
+        g = min(
+            a.guaranteed_order + (b.min_exp if b.coeffs else 0),
+            b.guaranteed_order + (a.min_exp if a.coeffs else 0),
+        )
         out: dict = {}
         for ka, va in a.coeffs.items():
             for kb, vb in b.coeffs.items():
                 k = ka + kb
-                if g is None or k <= g:
+                if k <= g:
                     out[k] = out.get(k, 0j) + va * vb
         return TruncatedSeries(a.denom, out, g)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = TruncatedSeries.constant(1.0)
-        base = self
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("only positive integer powers are supported")
+        # self times self^(n-1) by repeated squaring
+        result, base, n = self, self, n - 1
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
-    def reciprocal(self, order: Optional[int] = None) -> "TruncatedSeries":
-        """Multiplicative inverse by recursive division.
+    def reciprocal(self) -> "TruncatedSeries":
+        """Multiplicative inverse by recursive division, through as many
+        key-steps past the leading exponent as the trust horizon supports.
 
-        The leading coefficient must be nonzero.  `order` bounds the number
-        of key-steps past the leading exponent to compute; it defaults to
-        (and is capped by) what the trust horizon supports.
+        The leading coefficient must be nonzero.
         """
         if not self.coeffs:
             raise ZeroDivisionError("reciprocal of the zero series")
         k0 = self.min_exp
         c0 = self.coeffs[k0]
-        if self.guaranteed_order is not None:
-            available = self.guaranteed_order - k0
-            order = available if order is None else min(order, available)
-        if order is None:
-            raise ValueError("reciprocal of an exact series needs an explicit order")
+        order = self.guaranteed_order - k0
         if order > 10**6:
             raise CutoffTooLarge(f"reciprocal order {order} exceeds the desk-scale cap")
         inv = {-k0: 1.0 / c0}
@@ -281,11 +276,14 @@ class BiSeries:
     q_denom: int = 1
 
     def __post_init__(self):
+        _require_positive_int("q_denom", self.q_denom)
+        _require_int_horizon(self.q_order)
+        index = operator.index
         cleaned = {}
         for (j, m), v in self.coeffs.items():
-            if v == 0 or m > self.q_order or not (self.x_min <= j <= self.x_max):
-                continue
-            cleaned[(int(j), int(m))] = complex(v)
+            j, m = index(j), index(m)
+            if v != 0 and m <= self.q_order and self.x_min <= j <= self.x_max:
+                cleaned[(j, m)] = complex(v)
         object.__setattr__(self, "coeffs", cleaned)
 
     def coefficient(self, j: int, q_exponent) -> complex:
@@ -305,12 +303,13 @@ class BiSeries:
 
     def _aligned(self, other):
         """self and other over a common q-denominator.  A TruncatedSeries is
-        x^0 times a q-series, known at every x-degree (an exact one at every
-        q-order too): it is lifted into self's window widened to hold x^0."""
+        x^0 times a q-series, known at every x-degree: it is lifted into
+        self's window widened to hold x^0."""
         if isinstance(other, TruncatedSeries):
-            g = math.inf if other.guaranteed_order is None else other.guaranteed_order
             lifted = {(0, k): v for k, v in other.coeffs.items()}
-            other = BiSeries(min(self.x_min, 0), max(self.x_max, 0), g, lifted, other.denom)
+            other = BiSeries(
+                min(self.x_min, 0), max(self.x_max, 0), other.guaranteed_order, lifted, other.denom
+            )
         d = math.lcm(self.q_denom, other.q_denom)
         return self.with_q_denom(d), other.with_q_denom(d)
 
@@ -336,9 +335,7 @@ class BiSeries:
         return replace(self, coeffs={k: v * value for k, v in self.coeffs.items()})
 
     def __mul__(self, other) -> "BiSeries":
-        """Product with a number or a TruncatedSeries, over self's window."""
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
+        """Product with a TruncatedSeries, over self's window."""
         if isinstance(other, BiSeries):
             raise ValueError("a product of two BiSeries has no trustworthy x-window")
         if not isinstance(other, TruncatedSeries):
@@ -413,15 +410,14 @@ def dedekind_eta(order: int) -> TruncatedSeries:
         raise CutoffTooLarge(f"eta expansion order {order} exceeds the cap")
     coeffs = {}
     k = 0
-    while True:
-        hit = False
-        for kk in (k, -k) if k else (0,):
+    # g(k) = k(3k-1)/2 < g(-k) for k > 0, so no term lies past the first k
+    # with g(k) > order; pentagonal numbers never collide, and k = 0 writes
+    # q^(1/24) twice
+    while k * (3 * k - 1) // 2 <= order:
+        for kk in (k, -k):
             g = kk * (3 * kk - 1) // 2
             if g <= order:
-                coeffs[24 * g + 1] = coeffs.get(24 * g + 1, 0) + (-1) ** (kk % 2)
-                hit = True
-        if not hit:
-            break
+                coeffs[24 * g + 1] = (-1) ** k
         k += 1
     return TruncatedSeries(24, coeffs, 24 * order + 1)
 

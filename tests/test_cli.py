@@ -1,3 +1,4 @@
+import cmath
 import copy
 import importlib
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from thetatrace import cli, fock, involutions, modular
+from thetatrace import cli, fock, involutions, modular, qseries
 from thetatrace.lattice import EvenLattice, load_lattice
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -166,6 +167,24 @@ def test_verify_deterministic_modulo_runtime(capsys):
             for check in rep["checks"]:
                 check["runtime_ms"] = 0
         assert rep1 == rep2
+
+
+def test_p2_annulus_check_catches_a_kernel_that_is_not_tau_periodic(monkeypatch):
+    # dropping the first q_z^-1 shell keeps the kernel 1-periodic in z but
+    # breaks tau-periodicity, which only a reduction by tau can expose
+    kernel = qseries.p2_eval
+
+    def mutated(z, tau):
+        w = cmath.exp(2j * cmath.pi * (tau - z))
+        return kernel(z, tau) - (2j * cmath.pi) ** 2 * w / (1 - w) ** 2
+
+    monkeypatch.setattr(cli, "p2_eval", mutated)
+    monkeypatch.setattr(qseries, "p2_eval", mutated)
+    L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
+    tol = dict(LAYOUT_HEAD)["p2-annulus-consistency"]
+    for seed in range(3):
+        cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=seed)
+        assert cli.check_p2_annulus(cfg) > tol
 
 
 def test_main_theorem_fits_each_alpha_once(monkeypatch):

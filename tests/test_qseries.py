@@ -51,7 +51,7 @@ def test_series_mul_trust_window():
 
 
 def test_series_mul_laurent_shift_extends_trust():
-    a = TruncatedSeries(1, {-2: 1.0}, None)  # exact monomial q^-2
+    a = TruncatedSeries(1, {-2: 1.0}, 10)  # monomial q^-2, known through q^10
     b = TruncatedSeries(1, {0: 1, 1: 5}, 4)
     c = a * b
     assert c.guaranteed_order == 2
@@ -61,7 +61,8 @@ def test_series_mul_laurent_shift_extends_trust():
 def test_series_pow_matches_repeated_mul():
     s = TruncatedSeries(1, {0: 1, 1: 2, 3: -1}, 6)
     assert (s ** 3).coeffs == (s * s * s).coeffs
-    assert (s ** 0).coefficient(0) == 1
+    with pytest.raises(ValueError):
+        s ** 0
 
 
 def test_series_reciprocal_roundtrip():
@@ -74,12 +75,11 @@ def test_series_reciprocal_roundtrip():
             assert abs(v) < 1e-12
 
 
-def test_series_reciprocal_of_exact_needs_order():
-    s = TruncatedSeries(1, {0: 1, 1: 1})
-    with pytest.raises(ValueError):
-        s.reciprocal()
-    inv = s.reciprocal(order=5)
-    assert inv.coefficient(3) == -1  # 1/(1+q) = 1 - q + q^2 - ...
+def test_series_reciprocal_runs_through_the_horizon():
+    s = TruncatedSeries(1, {0: 1, 1: 1}, 5)
+    inv = s.reciprocal()
+    assert inv.guaranteed_order == 5
+    assert inv.coeffs == {k: (-1) ** k for k in range(6)}  # 1/(1+q) = 1 - q + q^2 - ...
 
 
 def test_series_eval_tau_sums_terms():
@@ -485,14 +485,14 @@ def test_biseries_lifts_a_truncated_series_into_any_window():
     prod = bi * TruncatedSeries(1, {0: 2.0, 1: 1.0}, 4)
     assert (prod.x_min, prod.x_max, prod.q_order) == (1, 3, 4)
     assert prod.coeffs == {(2, 1): 2.0, (2, 2): 1.0}
-    # an exact factor is trusted at every q-order
-    doubled = TruncatedSeries.constant(2) * bi
+    # a constant factor known through bi's horizon scales bi
+    doubled = TruncatedSeries(1, {0: 2.0}, 4) * bi
     assert doubled == bi.scale(2)
     # x^0 is outside the window, so the sum does not keep it
-    assert bi + TruncatedSeries.constant(1) == bi
+    assert bi + TruncatedSeries(1, {0: 1.0}, 4) == bi
 
 
-@pytest.mark.parametrize("other", ["x", None, [1.0]])
+@pytest.mark.parametrize("other", ["x", None, [1.0], 3, 2.0, 1j])
 def test_series_arithmetic_refuses_a_foreign_operand(other):
     t = TruncatedSeries(1, {0: 1.0}, 3)
     bi = BiSeries(-1, 1, 3, {(1, 0): 1.0})
@@ -512,7 +512,32 @@ def test_biseries_max_abs_diff_refuses_a_foreign_operand(other):
 @pytest.mark.parametrize("denom", [1.5, True, 0])
 def test_truncated_series_refuses_a_denom_that_is_no_positive_int(denom):
     with pytest.raises(ValueError, match="positive integer"):
-        TruncatedSeries(denom, {1: 1.0})
+        TruncatedSeries(denom, {1: 1.0}, 3)
+
+
+@pytest.mark.parametrize("q_denom", [1.5, True, 0, -2])
+def test_biseries_refuses_a_q_denom_that_is_no_positive_int(q_denom):
+    with pytest.raises(ValueError, match="positive integer"):
+        BiSeries(0, 1, 2, {(0, 1): 1.0}, q_denom)
+
+
+@pytest.mark.parametrize("horizon", [None, math.inf, 2.5, Fraction(2), True])
+def test_series_refuse_a_horizon_that_is_no_int(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        TruncatedSeries(1, {1: 1.0}, horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        BiSeries(0, 1, horizon, {(0, 1): 1.0})
+
+
+@pytest.mark.parametrize("key", [0.5, 1.0, Fraction(1, 2)])
+def test_series_refuse_a_key_that_is_no_int(key):
+    # int() used to truncate such a key onto a neighbouring exponent
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, {key: 1.0}, 3)
+    with pytest.raises(TypeError):
+        BiSeries(0, 1, 2, {(key, 1): 1.0})
+    with pytest.raises(TypeError):
+        BiSeries(0, 1, 2, {(0, key): 1.0})
 
 
 def test_biseries_max_abs_diff_ignores_outside_window():
