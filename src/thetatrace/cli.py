@@ -21,12 +21,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from . import fock, involutions, modular
+from ._frozen import Frozen
 from .errors import ConfigError, IllConditioned, LatticeFileError, ThetaTraceError
 from .lattice import EvenLattice, load_lattice
 from .qseries import (
@@ -53,11 +53,13 @@ Q_ORDER = 6  # q-order of the recursion checks and the censuses
 HALF = Fraction(1, 2)  # the nonzero theta characteristic
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    lattice: EvenLattice
-    lattice_label: str
-    seed: int = 0
+class RunConfig(Frozen):
+    _fields = ("lattice", "lattice_label", "seed")
+
+    def __init__(self, lattice: EvenLattice, lattice_label: str, seed: int = 0):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "lattice_label", lattice_label)
+        object.__setattr__(self, "seed", seed)
 
     @cached_property
     def censuses(self) -> list:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import (
     BoundTooLarge,
     LatticeFileError,
@@ -50,16 +50,14 @@ def _dual_basis(diag, low):
     return cols
 
 
-@dataclass(frozen=True)
-class EvenLattice:
+class EvenLattice(Frozen):
     """Even positive-definite lattice given by its Gram matrix."""
 
-    gram: tuple
-    name: str = ""
+    _fields = ("gram", "name")
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.gram)
-        if rows != tuple(map(tuple, self.gram)):
+    def __init__(self, gram, name: str = ""):
+        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        if rows != tuple(map(tuple, gram)):
             raise ValueError("Gram matrix entries must be integers")
         d = len(rows)
         if d == 0 or any(len(r) != d for r in rows):
@@ -69,6 +67,7 @@ class EvenLattice:
                 if rows[i][j] != rows[j][i]:
                     raise NotSymmetric(f"gram[{i}][{j}] != gram[{j}][{i}]")
         object.__setattr__(self, "gram", rows)
+        object.__setattr__(self, "name", name)
         self._ldl  # raises NotPositiveDefinite
         for i in range(d):
             if rows[i][i] % 2 != 0:

@@ -25,10 +25,10 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import BoundTooLarge, IllConditioned, ThetaTraceError
 from .lattice import EvenLattice
 from .qseries import require_im
@@ -44,21 +44,22 @@ N_HOLDOUT = 20  # held-out points per validated fit
 SWEEP_CAP = 60  # most Jacobi sweeps of one least-squares solve
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
+class UnimodularMatrix(Frozen):
     """(a b; f d) with integer entries and ad - bf = 1."""
 
-    a: int
-    b: int
-    f: int
-    d: int
+    __slots__ = _fields = ("a", "b", "f", "d")
 
-    def __post_init__(self):
-        for x in (self.a, self.b, self.f, self.d):
-            if x != int(x):
-                raise ValueError("entries must be integers")
-        if self.a * self.d - self.b * self.f != 1:
+    def __init__(self, a: int, b: int, f: int, d: int):
+        entries = tuple(map(int, (a, b, f, d)))
+        if entries != (a, b, f, d):
+            raise ValueError("entries must be integers")
+        a, b, f, d = entries
+        if a * d - b * f != 1:
             raise ValueError("determinant must be 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "d", d)
 
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         return UnimodularMatrix(

@@ -31,10 +31,10 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
+from ._frozen import Frozen
 from .errors import CutoffTooLarge, ImTooSmall, OutOfAnnulus, PoleAtLatticePoint
 
 TWO_PI_I = 2j * math.pi
@@ -100,8 +100,7 @@ def _require_int_horizon(value) -> None:
         raise ValueError(f"the trust horizon must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Laurent series in q^(1/denom), trusted through guaranteed_order.
 
     coeffs maps integer keys k to the coefficient of q^(k/denom).  Stored
@@ -109,21 +108,20 @@ class TruncatedSeries:
     through scale.
     """
 
-    denom: int
-    coeffs: dict
-    guaranteed_order: int
+    __slots__ = _fields = ("denom", "coeffs", "guaranteed_order")
 
-    def __post_init__(self):
-        _require_positive_int("denom", self.denom)
-        g = self.guaranteed_order
-        _require_int_horizon(g)
+    def __init__(self, denom: int, coeffs: dict, guaranteed_order: int):
+        _require_positive_int("denom", denom)
+        _require_int_horizon(guaranteed_order)
         index = operator.index
         cleaned = {}
-        for k, v in self.coeffs.items():
+        for k, v in coeffs.items():
             k = index(k)
-            if v != 0 and k <= g:
+            if v != 0 and k <= guaranteed_order:
                 cleaned[k] = complex(v)
+        object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "guaranteed_order", guaranteed_order)
 
     # -- basic views -------------------------------------------------
 
@@ -259,8 +257,7 @@ class TruncatedSeries:
         )
 
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(Frozen):
     """Series in x and q, truncated in both variables.
 
     coeffs maps (j, m) to the coefficient of x^j q^(m/q_denom).  Coefficients
@@ -269,22 +266,24 @@ class BiSeries:
     BiSeries.
     """
 
-    x_min: int
-    x_max: int
-    q_order: int
-    coeffs: dict = field(default_factory=dict)
-    q_denom: int = 1
+    __slots__ = _fields = ("x_min", "x_max", "q_order", "coeffs", "q_denom")
 
-    def __post_init__(self):
-        _require_positive_int("q_denom", self.q_denom)
-        _require_int_horizon(self.q_order)
+    def __init__(
+        self, x_min: int, x_max: int, q_order: int, coeffs: Optional[dict] = None, q_denom: int = 1
+    ):
+        _require_positive_int("q_denom", q_denom)
+        _require_int_horizon(q_order)
         index = operator.index
         cleaned = {}
-        for (j, m), v in self.coeffs.items():
+        for (j, m), v in (coeffs or {}).items():
             j, m = index(j), index(m)
-            if v != 0 and m <= self.q_order and self.x_min <= j <= self.x_max:
+            if v != 0 and m <= q_order and x_min <= j <= x_max:
                 cleaned[(j, m)] = complex(v)
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "q_order", q_order)
         object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "q_denom", q_denom)
 
     def coefficient(self, j: int, q_exponent) -> complex:
         key = Fraction(q_exponent) * self.q_denom
@@ -299,7 +298,7 @@ class BiSeries:
             raise ValueError(f"cannot lift q_denom {self.q_denom} to {q_denom}")
         s = q_denom // self.q_denom
         coeffs = {(j, m * s): v for (j, m), v in self.coeffs.items()}
-        return replace(self, q_order=self.q_order * s, coeffs=coeffs, q_denom=q_denom)
+        return BiSeries(self.x_min, self.x_max, self.q_order * s, coeffs, q_denom)
 
     def _aligned(self, other):
         """self and other over a common q-denominator.  A TruncatedSeries is
@@ -326,13 +325,15 @@ class BiSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return replace(self, coeffs={k: -v for k, v in self.coeffs.items()})
+        coeffs = {k: -v for k, v in self.coeffs.items()}
+        return BiSeries(self.x_min, self.x_max, self.q_order, coeffs, self.q_denom)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value) -> "BiSeries":
-        return replace(self, coeffs={k: v * value for k, v in self.coeffs.items()})
+        coeffs = {k: v * value for k, v in self.coeffs.items()}
+        return BiSeries(self.x_min, self.x_max, self.q_order, coeffs, self.q_denom)
 
     def __mul__(self, other) -> "BiSeries":
         """Product with a TruncatedSeries, over self's window."""

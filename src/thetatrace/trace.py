@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import TailBoundViolated
 from .lattice import EvenLattice
 from .qseries import (
@@ -66,25 +66,25 @@ COVER_SLACK = 1 + 1e-9
 FACTOR_LOG_CAP = 600.0
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(Frozen):
     """An evaluation point (a, b, tau): two complex insertion vectors in
     lattice basis coordinates, and tau in the upper half-plane."""
 
-    a: tuple
-    b: tuple
-    tau: complex
+    __slots__ = _fields = ("a", "b", "tau")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(complex(x) for x in self.b))
-        object.__setattr__(self, "tau", complex(self.tau))
-        if len(self.a) != len(self.b):
+    def __init__(self, a: Sequence, b: Sequence, tau: complex):
+        a = tuple(complex(x) for x in a)
+        b = tuple(complex(x) for x in b)
+        tau = complex(tau)
+        if len(a) != len(b):
             raise ValueError("a and b must have the same dimension")
-        if not all(map(cmath.isfinite, self.a + self.b)):
+        if not all(map(cmath.isfinite, a + b)):
             raise ValueError("insertion vectors must have finite coordinates")
-        if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
+        if not cmath.isfinite(tau) or tau.imag <= 0:
             raise ValueError("tau must be a finite point of the upper half-plane")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "tau", tau)
 
 
 def state_pairing(L: EvenLattice, a: Sequence, b: Sequence) -> complex:

@@ -567,6 +567,34 @@ def test_commands_run_without_numpy(blocked):
     assert json.loads(proc.stdout) == [[0, 0], []]
 
 
+def test_commands_run_without_dataclasses():
+    # each command is a fresh process that pays its imports: with dataclasses
+    # made unimportable the commands still run, and neither dataclasses nor
+    # inspect is loaded by them
+    script = (
+        "import sys\nsys.modules['dataclasses'] = None\n"
+        "import contextlib, io, json\n"
+        "before = {n for n, mod in sys.modules.items() if mod is not None}\n"
+        "from thetatrace import cli\n"
+        "codes = []\n"
+        "for args in (['fit', '--alpha', '0,-1,1,0', '--lattice', 'lattices/a2.json'],\n"
+        "             ['verify', 'combinatorics'],\n"
+        "             ['expand', '--what', 'eta', '--order', '10']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(args))\n"
+        "print(json.dumps([codes, sorted(n for n, mod in sys.modules.items()\n"
+        "                                if n in ('dataclasses', 'inspect') and mod is not None\n"
+        "                                and n not in before)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        cwd=REPO_DIR, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], []]
+
+
 @pytest.mark.skipif(
     shutil.which("thetatrace") is None, reason="thetatrace executable not on PATH"
 )

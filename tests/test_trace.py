@@ -390,7 +390,7 @@ def test_colored_partition_counts_refuse_a_negative_order():
 
 @pytest.mark.parametrize("L", [L4, A2, A3], ids=["norm4", "a2", "a3"])
 def test_moment_series_without_weights_is_the_coset_theta_series(L):
-    # the two exact coset series are one type: equal as dataclasses
+    # the two exact coset series are one type: equal field by field
     for beta in L.cosets:
         assert moment_series(L, beta, (), 8) == L.theta_series(beta, 8)
 
