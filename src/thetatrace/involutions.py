@@ -3,7 +3,9 @@
 An involution of {1..n} is its sorted tuple of 2-cycles (i, j) with i < j;
 every other letter is fixed, and the empty tuple is the identity.
 Everything here is integer arithmetic: enumeration of those pair tuples,
-counts by number of fixed points, ordered decompositions into disjoint
+counts by number of fixed points (each involution of {1..12} counted once,
+as its lowest moved letter, that letter's partner and an involution of the
+letters left above them), ordered decompositions into disjoint
 fixed-point-free factors, the alternating-sign sum over those
 decompositions, and the regrouping identity that packages all of it into an
 exponential, its rational equalities compared as integer cross-products.
@@ -100,14 +102,22 @@ def list_involutions(n: int) -> List[tuple]:
 @lru_cache(maxsize=None)
 def _lowest_letter_tally() -> tuple:
     """rows[k][p] = number of involutions of {1..N_CAP} with p pairs whose
-    lowest moved letter is k (N_CAP + 1 for the identity), tallied in one
-    walk over them, building no pair tuple."""
+    lowest moved letter is k (N_CAP + 1 for the identity), building no pair
+    tuple.  Such an involution is k's partner j > k and an involution tau of
+    the N_CAP - k - 1 other letters above k, with len(tau) + 1 pairs: row k
+    is one walk over those letters, each leaf counted once per partner."""
     rows = [[0] * (N_CAP // 2 + 1) for _ in range(N_CAP + 2)]
+    rows[N_CAP + 1][0] += 1  # the identity
+    rows[N_CAP - 1][1] += 1  # (N_CAP - 1, N_CAP), no letter left for tau
 
     def leaf(stack: list) -> None:
-        rows[stack[0][0] if stack else N_CAP + 1][len(stack)] += 1
+        p = len(stack) + 1
+        for _ in partners:  # one increment per involution
+            row[p] += 1
 
-    _walk(N_CAP, leaf)
+    for k in range(1, N_CAP - 1):
+        row, partners = rows[k], range(k + 1, N_CAP + 1)
+        _walk(N_CAP - k - 1, leaf)
     return tuple(map(tuple, rows))
 
 
@@ -219,6 +229,8 @@ def verify_multinomial_identity(p: int, r: int) -> bool:
     both sides being 1/(r! p! 2^p).  Each side is a ratio of positive
     integers, and the ratios are compared as integer cross-products.
     """
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, r)):
+        raise ValueError(f"p and r must be ints, got {p!r} and {r!r}")
     if min(p, r) < 0:
         raise ValueError("p and r must be nonnegative")
     lhs_num = math.comb(r + 2 * p, r) * math.factorial(2 * p)
@@ -244,6 +256,8 @@ def exponential_regroup_check(p_max: int, r_max: int) -> dict:
     count C(n,r)(2p)!/(p! 2^p) beyond that (the two are checked equal on
     the overlap).
     """
+    if any(isinstance(b, bool) or not isinstance(b, int) for b in (p_max, r_max)):
+        raise BoundTooLarge(f"regroup bounds must be ints, got {p_max!r} and {r_max!r}")
     if not (0 <= p_max <= 20 and 0 <= r_max <= 20):
         raise BoundTooLarge("regroup bounds must lie in [0, 20]")
     checked = 0

@@ -252,21 +252,24 @@ def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):
     assert held and max(held) <= 8
 
 
-def test_combinatorics_walks_twelve_letters_once(monkeypatch):
-    # the tally behind every count is one walk over N_CAP letters; the
-    # listings walk only n <= 8
+def test_combinatorics_walks_each_count_once(monkeypatch):
+    # the tally behind every count walks each of 1..N_CAP - 2 letters once
+    # and never all N_CAP; the listings walk only n <= 8
     involutions._lowest_letter_tally.cache_clear()
     involutions._all_involutions.cache_clear()
     walked = []
     walk = involutions._walk
-    monkeypatch.setattr(
-        involutions, "_walk", lambda n, leaf: walked.append(n) or walk(n, leaf)
-    )
+
+    def spy(n, leaf):
+        walked.append((n, leaf.__qualname__.startswith("_lowest_letter_tally.")))
+        return walk(n, leaf)
+
+    monkeypatch.setattr(involutions, "_walk", spy)
     L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
     cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
     assert cli.run_suite("combinatorics", cfg)["overall"] == "pass"
-    assert walked.count(involutions.N_CAP) == 1
-    assert max(n for n in walked if n != involutions.N_CAP) <= 8
+    assert sorted(n for n, tally in walked if tally) == list(range(1, involutions.N_CAP - 1))
+    assert max(n for n, tally in walked if not tally) <= 8
 
 
 def test_verify_jobs_option_rejected(capsys):

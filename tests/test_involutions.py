@@ -2,6 +2,7 @@ import fractions
 import gc
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -190,7 +191,9 @@ def test_non_int_r_is_refused(r):
 
 
 def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
-    # every count of every n <= 12 is read off one walk over 12 letters
+    # every count of every n <= 12 is read off one walk over each of
+    # 1..N_CAP - 2 letters, the involutions above the lowest moved letter
+    # and its partner; no walk covers all N_CAP letters
     involutions._lowest_letter_tally.cache_clear()
     seen = []
     walk = involutions._walk
@@ -200,7 +203,57 @@ def test_count_with_fixed_enumerates_once_per_n(monkeypatch):
     for n in range(1, involutions.N_CAP + 1):
         counts = [count_with_fixed(n, r) for r in range(n % 2, n + 1, 2)]
         assert counts == [closed_form_fixed_count((n - r) // 2, r) for r in range(n % 2, n + 1, 2)]
-    assert seen == [involutions.N_CAP]
+    assert sorted(seen) == list(range(1, involutions.N_CAP - 1))
+
+
+def _single_walk_tally():
+    """The tally as one walk over all N_CAP letters, each involution filed
+    under its lowest moved letter: the oracle for _lowest_letter_tally."""
+    cap = involutions.N_CAP
+    rows = [[0] * (cap // 2 + 1) for _ in range(cap + 2)]
+
+    def leaf(stack):
+        rows[stack[0][0] if stack else cap + 1][len(stack)] += 1
+
+    involutions._walk(cap, leaf)
+    return tuple(map(tuple, rows))
+
+
+def test_lowest_letter_tally_matches_single_walk():
+    involutions._lowest_letter_tally.cache_clear()
+    got = involutions._lowest_letter_tally()
+    want = _single_walk_tally()
+    assert len(got) == len(want) == involutions.N_CAP + 2
+    for k, (got_row, want_row) in enumerate(zip(got, want)):
+        assert got_row == want_row, k
+    assert sum(map(sum, got)) == TELEPHONE[involutions.N_CAP]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lowest_letter_bijection(n):
+    # (k, j, tau) -> pairs: k's partner j > k, tau an involution of the
+    # letters above k other than j, relabelled in order
+    built = [()]
+    for k in range(1, n):
+        for j in range(k + 1, n + 1):
+            rest = [x for x in range(k + 1, n + 1) if x != j]
+            for tau in involutions._all_involutions(len(rest)) if rest else [()]:
+                relabelled = [(rest[a - 1], rest[b - 1]) for a, b in tau]
+                built.append(tuple(sorted([(k, j)] + relabelled)))
+    assert len(built) == len(set(built)) == TELEPHONE[n]
+    assert set(built) == set(list_involutions(n))
+
+
+def test_lowest_letter_tally_memory_is_bounded():
+    # the tally holds no involution list: a cold run stays under 16 KB
+    involutions._lowest_letter_tally.cache_clear()
+    tracemalloc.start()
+    try:
+        involutions._lowest_letter_tally()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_tally_matches_listed_involutions():
@@ -406,3 +459,15 @@ def test_exponential_regroup_beyond_enumeration():
 def test_exponential_regroup_bound():
     with pytest.raises(BoundTooLarge):
         exponential_regroup_check(25, 0)
+
+
+@pytest.mark.parametrize("bounds", [(2.5, 3), (3, 2.5), (True, 3), (3, False), ("3", 3), (None, 3)])
+def test_exponential_regroup_refuses_non_int_bound(bounds):
+    with pytest.raises(BoundTooLarge):
+        exponential_regroup_check(*bounds)
+
+
+@pytest.mark.parametrize("args", [(1.5, 2), (2, 1.5), (2.0, 1), (True, 1), ("2", 1)])
+def test_multinomial_identity_refuses_non_int(args):
+    with pytest.raises(ValueError):
+        verify_multinomial_identity(*args)
