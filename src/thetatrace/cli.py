@@ -293,10 +293,11 @@ def check_fock_phase_census(cfg: RunConfig) -> float:
     L = cfg.lattice
     a = tuple(Fraction(1, i + 3) for i in range(L.dim))
 
-    def by_phase(census):
-        return fock.group_census_by_phase(L, census, a)
+    def phases(beta, census):
+        return fock.group_census_by_phase(L, beta, census, a)
 
-    return 0.0 if all(by_phase(lit) == by_phase(closed) for lit, closed in cfg.censuses) else 1.0
+    pairs = zip(L.cosets, cfg.censuses)
+    return 0.0 if all(phases(b, lit) == phases(b, closed) for b, (lit, closed) in pairs) else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Literal graded module spaces over lattice cosets.
 
-A basis state is a pair (point, modes): a lattice point m in L + beta and a
-sorted tuple of oscillator excitations (mode n >= 1, basis direction); its
-L(0)-grade is <m,m>/2 plus the sum of the modes.  In V_L = M(1) (x) C[L+beta]
+A basis state is a pair (point, modes): the integer offsets n of a point
+m = beta + n of L + beta and a sorted tuple of oscillator excitations (mode
+>= 1, basis direction); its L(0)-grade is <m,m>/2 plus the sum of the modes,
+as an integer key over the coset's denominator.  In V_L = M(1) (x) C[L+beta]
 every h(n) with n != 0 acts on the modes alone and h(0) is the scalar <h, m>,
 so mode operators act symbolically on the modes tuple and products of
 operators are exact on any state; no basis-matrix truncation enters.  Traces
@@ -44,26 +45,24 @@ def _colored_multisets(budget: int, dims: int):
     yield from rec(budget, (1, 0))
 
 
-@lru_cache(maxsize=None)
-def build_basis(
-    L: EvenLattice, beta: Sequence, grade_max
-) -> Tuple[Tuple[Fraction, tuple, tuple], ...]:
-    """Every state of grade <= grade_max as a sorted (grade, point, modes)
-    triple: the point's exact half-norm from enumerate_vectors plus the sum
-    of the modes, computed once, here.
+@lru_cache(maxsize=None, typed=True)
+def build_basis(L: EvenLattice, beta: Sequence, grade_max: int) -> Tuple[int, tuple]:
+    """(den, every state of grade <= grade_max as a sorted (key, offsets,
+    modes) triple): den and the point's key from enumerate_vectors, and
+    key = den * grade, computed once, here.
 
-    Memoized: the census and recursion checks of one run share each basis.
-    beta must be hashable (a tuple).  enumerate_vectors refuses a coset
-    outside the dual lattice (L + beta is then no module) and a grade_max
-    below 0 or above GRADE_CAP.
+    Memoized, typed so that True or 1.0 never reuse the basis of 1: the
+    census and recursion checks of one run share each basis.  beta must be
+    hashable (a tuple).  enumerate_vectors refuses a coset outside the dual
+    lattice (L + beta is then no module) and a bad grade_max.
     """
-    grade_max = Fraction(grade_max)
+    den, pairs = L.enumerate_vectors(beta, grade_max)
     states = []
-    for m, base in L.enumerate_vectors(beta, grade_max):
-        for modes in _colored_multisets(int(grade_max - base), L.dim):
-            states.append((base + sum(n for n, _ in modes), m, modes))
+    for n, key in pairs:
+        for modes in _colored_multisets((grade_max * den - key) // den, L.dim):
+            states.append((key + den * sum(j for j, _ in modes), n, modes))
     states.sort()
-    return tuple(states)
+    return den, tuple(states)
 
 
 def apply_mode(L: EvenLattice, h: Sequence, n: int, modes: tuple) -> Dict[tuple, complex]:
@@ -135,18 +134,18 @@ def diagonal_entry(
     return apply_word(L, ops, point, modes).get(modes, 0j)
 
 
-def census_by_grade(L: EvenLattice, beta: Sequence, grade_max) -> dict:
-    """{grade: {lattice point: number of states}} by literal enumeration."""
+def census_by_grade(L: EvenLattice, beta: Sequence, grade_max: int) -> dict:
+    """{grade key: {offsets: number of states}} of build_basis."""
     beta = tuple(Fraction(x) for x in beta)
     out: dict = {}
-    for g, m, _ in build_basis(L, beta, grade_max):
-        bucket = out.setdefault(g, {})
-        bucket[m] = bucket.get(m, 0) + 1
+    for key, n, _ in build_basis(L, beta, grade_max)[1]:
+        bucket = out.setdefault(key, {})
+        bucket[n] = bucket.get(n, 0) + 1
     return out
 
 
-def group_census_by_phase(L: EvenLattice, census: dict, a: Sequence) -> dict:
-    """Regroup a {grade: {point: count}} census by the zero-mode phase.
+def group_census_by_phase(L: EvenLattice, beta: Sequence, census: dict, a: Sequence) -> dict:
+    """Regroup a {key: {offsets: count}} census of L + beta by zero-mode phase.
 
     For rational a the eigenvalue <a, m> of a(0) on every state over m is an
     exact rational, so the weighted trace per grade is determined by the map
@@ -155,14 +154,15 @@ def group_census_by_phase(L: EvenLattice, census: dict, a: Sequence) -> dict:
     floating point.
     """
     a = tuple(Fraction(x) for x in a)
-    phases: dict = {}  # point -> <a, m> mod 1, once per point
+    beta = tuple(Fraction(x) for x in beta)
+    phases: dict = {}  # offsets -> <a, m> mod 1, once per point
     out: dict = {}
     for grade, bucket in census.items():
         grouped: dict = {}
-        for m, count in bucket.items():
-            phase = phases.get(m)
+        for n, count in bucket.items():
+            phase = phases.get(n)
             if phase is None:
-                phase = phases[m] = Fraction(L.inner(a, m)) % 1
+                phase = phases[n] = L.inner(a, [b + x for b, x in zip(beta, n)]) % 1
             grouped[phase] = grouped.get(phase, 0) + count
         out[grade] = grouped
     return out
@@ -208,25 +208,22 @@ def s_function_trace(
         v1, v2 = vectors
         words = [(k, [(v1, k), (v2, -k)]) for k in range(-x_span, x_span + 1)]
     beta = tuple(Fraction(x) for x in beta)
-    basis = build_basis(L, beta, q_order)
-    qden = math.lcm(24, *(g.denominator for g, _, _ in basis))
-    shift = Fraction(L.dim, 24)
-    q_keys: dict = {}  # grade -> q exponent numerator
-    entries: dict = {}  # (k, modes) or (0, point) -> diagonal entry
+    den, basis = build_basis(L, beta, q_order)
+    qden = math.lcm(24, den)
+    scale, shift = qden // den, L.dim * qden // 24  # q^{key/den - d/24}
+    entries: dict = {}  # (k, modes) or (0, offsets) -> diagonal entry
     coeffs: dict = {}
-    for g, m, modes in basis:
-        q_key = q_keys.get(g)
-        if q_key is None:
-            q_key = q_keys[g] = int((g - shift) * qden)
+    for key, n, modes in basis:
+        q_key = key * scale - shift
         for k, word in words:
-            key = (k, modes) if k else (0, m)
-            val = entries.get(key)
+            memo = (k, modes) if k else (0, n)
+            val = entries.get(memo)
             if val is None:
-                val = entries[key] = diagonal_entry(L, word, m, modes)
+                point = n if k else [float(b + x) for b, x in zip(beta, n)]
+                val = entries[memo] = diagonal_entry(L, word, point, modes)
             if val:
                 coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
-    q_top = int((Fraction(q_order) - shift) * qden)
-    return BiSeries(-x_span, x_span, q_top, coeffs, qden)
+    return BiSeries(-x_span, x_span, q_order * qden - shift, coeffs, qden)
 
 
 def verify_trace_recursion(
@@ -250,5 +247,5 @@ def verify_trace_recursion(
         "x_span": x_span,
         "q_order": q_order,
         "n_insertions": len(vectors),
-        "basis_size": len(build_basis(L, beta, q_order)),
+        "basis_size": len(build_basis(L, beta, q_order)[1]),
     }

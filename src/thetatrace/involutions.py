@@ -26,8 +26,12 @@ N_CAP = 12
 
 def _sorted_pairs(pairs: Sequence) -> tuple:
     """pairs as a sorted tuple, checked to be the 2-cycles of an involution:
-    1 <= i < j in every pair (i, j), and no letter in two pairs."""
-    out = tuple(sorted((i, j) for i, j in pairs))
+    int letters, 1 <= i < j in every pair (i, j), and no letter in two pairs."""
+    out = tuple((i, j) for i, j in pairs)
+    for x in (x for pair in out for x in pair):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"letter {x!r} is not an int")
+    out = tuple(sorted(out))
     seen = set()
     for i, j in out:
         if not 1 <= i < j:

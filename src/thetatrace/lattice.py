@@ -6,7 +6,8 @@ coordinates n + beta with n integral.  Everything that feeds a frozen test
 value is computed in exact rational arithmetic: positive definiteness via one
 LDL^T split over Q per lattice, coset representatives as the closure of the
 dual basis that split solves for, and vector enumeration by recursive
-completion of squares in integers.
+completion of squares in integers, which also grades the points by integer
+keys: on L + beta every <m, m>/2 is <beta, beta>/2 plus an integer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -258,31 +260,43 @@ class EvenLattice(Frozen):
         cols = self._ball_offsets(beta, center, norm_bound)
         return list(zip(*([b + n for n in col] for b, col in zip(beta, cols))))
 
-    def enumerate_vectors(self, beta: Sequence, bound) -> list:
-        """Every m in L + beta with <m, m>/2 <= bound, as (m, <m, m>/2) pairs
-        sorted by m; the half-norm is an exact Fraction.  This is the one
-        place that grades the coset points of the exact series, and their one
-        gate: before enumerating, it refuses a non-dual beta or a negative
-        bound (ValueError) and a bound above GRADE_CAP (CutoffTooLarge)."""
+    def _half_norms(self, cols: list) -> list:
+        """The integers <y, G y>/2 of integer points y, one list per coordinate."""
+        half = [0] * len(cols[0])
+        for i, row in enumerate(self.gram):
+            for j in range(i, self.dim):
+                w = row[i] // 2 if i == j else row[j]
+                if w:
+                    half = [h + w * a * b for h, a, b in zip(half, cols[i], cols[j])]
+        return half
+
+    def enumerate_vectors(self, beta: Sequence, bound: int) -> tuple:
+        """Every m = beta + n in L + beta with <m, m>/2 <= bound, as (den,
+        pairs sorted by n) with integer pairs (n, den <m, m>/2); den is that
+        of <beta, beta>/2, or 1 for an empty ball.  This is the one place
+        that grades the coset points of the exact series, and their one gate:
+        before enumerating, it refuses a non-dual beta, a bound that is no int
+        or negative (ValueError) and one above GRADE_CAP (CutoffTooLarge)."""
         require_grade(bound)
         beta = self.check_dual(beta)
-        zero = [Fraction(0)] * self.dim
-        pts = self.points_in_ball(beta, zero, 2 * Fraction(bound))
-        return sorted((m, self.norm2(m) / 2) for m in pts)
+        cols = self._ball_offsets(beta, [0] * self.dim, 2 * bound)
+        # den <m,m>/2 = den <beta,beta>/2 + den (<n,Gn>/2 + <G beta, n>)
+        base = self.coset_norm_half(beta) if cols[0] else Fraction(0)  # den 1: empty ball
+        keys = self._half_norms(cols)
+        for col, row in zip(cols, self.gram):
+            w = int(sum(map(operator.mul, row, beta)))  # integral: beta is dual
+            keys = [k + w * n for k, n in zip(keys, col)]
+        keys = [base.numerator + base.denominator * k for k in keys]
+        return base.denominator, sorted(zip(zip(*cols), keys))
 
     # -- theta series ------------------------------------------------------
 
     def theta_series(self, beta: Sequence, q_order: int) -> TruncatedSeries:
         """sum_{m in L+beta} q^{<m,m>/2} with exact integer coefficients,
-        trusted through q^q_order; the grades are enumerate_vectors'
-        half-norms, over the lcm of their denominators."""
-        pairs = self.enumerate_vectors(beta, q_order)
-        denom = math.lcm(*(h.denominator for _, h in pairs))
-        coeffs: dict = {}
-        for _, h in pairs:
-            key = int(h * denom)
-            coeffs[key] = coeffs.get(key, 0) + 1
-        return TruncatedSeries(denom, coeffs, q_order * denom)
+        trusted through q^q_order; the grades are enumerate_vectors' keys
+        over its denominator."""
+        den, pairs = self.enumerate_vectors(beta, q_order)
+        return TruncatedSeries(den, Counter(key for _, key in pairs), q_order * den)
 
 
 def load_lattice(path: str) -> EvenLattice:

@@ -79,6 +79,8 @@ def _require_finite_z(z: complex) -> None:
 
 
 def require_grade(grade_max) -> None:
+    if type(grade_max) is not int:
+        raise ValueError(f"grade cutoff must be an int, got {grade_max!r}")
     if grade_max < 0:
         raise ValueError(f"grade cutoff {grade_max} is negative")
     if grade_max > GRADE_CAP:
@@ -373,12 +375,6 @@ class BiSeries(Frozen):
                     return math.inf
                 worst = max(worst, d)
         return worst
-
-    def eval_at(self, x: complex, tau: complex) -> complex:
-        return sum(
-            v * x**j * q_power(tau, Fraction(m, self.q_denom))
-            for (j, m), v in self.coeffs.items()
-        )
 
     def __repr__(self):
         return (

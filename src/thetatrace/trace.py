@@ -190,17 +190,11 @@ def _ball_lists(L: EvenLattice, beta_f: list, cols: list) -> tuple:
     the range sizes.
     """
     g = L.gram
-    d = L.dim
     shift = [round(b) for b in beta_f]
     ys = [[n + k for n in col] for col, k in zip(cols, shift)]
     offs = [min(y) for y in ys]
     idx = [[v - o for v in y] for y, o in zip(ys, offs)]
-    half = [0] * len(cols[0])
-    for i in range(d):
-        for j in range(i, d):
-            w = g[i][i] // 2 if i == j else g[i][j]
-            if w:
-                half = [h + w * a * b for h, a, b in zip(half, ys[i], ys[j])]
+    half = L._half_norms(ys)
     levels = sorted(set(half))
     at = {v: i for i, v in enumerate(levels)}
     m_0 = [b - k for b, k in zip(beta_f, shift)]
@@ -341,25 +335,25 @@ def moment_series(
     q^q_order.
 
     weights is a (possibly empty) list of complex vectors; the empty product
-    makes this the plain coset theta series.  The grades are the exact
-    half-norms of enumerate_vectors, and the q-denominator is the lcm of
-    their denominators; terms are summed in the pairs' (sorted) order.
+    makes this the plain coset theta series.  The grades are the keys of
+    enumerate_vectors; terms are summed in the pairs' (sorted) order.
     """
-    return _moments(L, L.enumerate_vectors(beta, q_order), weights, q_order)
+    return _moments(L, beta, L.enumerate_vectors(beta, q_order), weights, q_order)
 
 
 def _moments(
-    L: EvenLattice, pairs: list, weights: Sequence[Sequence], q_order: int
+    L: EvenLattice, beta: Sequence, enumeration: tuple, weights: Sequence[Sequence], q_order: int
 ) -> TruncatedSeries:
-    """moment_series over the (point, half-norm) pairs of one enumeration."""
-    den = math.lcm(*(h.denominator for _, h in pairs))
+    """moment_series over one enumeration of L + beta; a point m = beta + n
+    enters as the exactly rounded floats of its coordinates."""
+    den, pairs = enumeration
+    beta = [Fraction(b) for b in beta]
     coeffs: dict = {}
-    for m, half in pairs:
-        mf = [float(x) for x in m]
+    for n, key in pairs:
+        mf = [float(b + x) for b, x in zip(beta, n)]
         val = 1.0 + 0j
         for wv in weights:
             val *= complex(L.inner(wv, mf))
-        key = int(half * den)
         coeffs[key] = coeffs.get(key, 0j) + val
     return TruncatedSeries(den, coeffs, q_order * den)
 
@@ -382,11 +376,11 @@ def _graded_traces(
 ) -> list:
     """graded_trace_series for each weights of weight_lists, all from one
     enumeration of L + beta."""
-    pairs = L.enumerate_vectors(beta, q_order)
+    enumeration = L.enumerate_vectors(beta, q_order)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
     eta_inv = TruncatedSeries(24, {24 * n - d: c for n, c in enumerate(osc)}, 24 * q_order - d)
-    return [_moments(L, pairs, weights, q_order) * eta_inv for weights in weight_lists]
+    return [_moments(L, beta, enumeration, weights, q_order) * eta_inv for weights in weight_lists]
 
 
 def recursion_series(
@@ -416,15 +410,15 @@ def insertion_counts_by_grade(
     L: EvenLattice, beta: Sequence, grade_max: int
 ) -> dict:
     """Closed-form per-grade census of the module: for each L(0)-grade g
-    up to grade_max, the map {lattice point m: number of states over m}.
+    up to grade_max, keyed as enumerate_vectors', {offsets: states over m}.
 
     The count over m at grade g is the colored-partition number of
     g - <m,m>/2.  This is the exact-integer side of the Fock cross-check.
     """
-    pairs = L.enumerate_vectors(beta, grade_max)
+    den, pairs = L.enumerate_vectors(beta, grade_max)
     osc = colored_partition_counts(L.dim, grade_max)
     out: dict = {}
-    for m, half in pairs:
-        for n in range(int(grade_max - half) + 1):
-            out.setdefault(half + n, {})[m] = osc[n]
+    for n, key in pairs:
+        for j in range((grade_max * den - key) // den + 1):
+            out.setdefault(key + j * den, {})[n] = osc[j]
     return out

@@ -189,8 +189,8 @@ def test_c10_fock_census_matches_closed_form():
         closed = insertion_counts_by_grade(L4, beta, 6)
         assert literal == closed, beta
         for a in ((Fraction(1, 4),), (Fraction(1, 3),)):
-            assert group_census_by_phase(L4, literal, a) == group_census_by_phase(
-                L4, closed, a
+            assert group_census_by_phase(L4, beta, literal, a) == group_census_by_phase(
+                L4, beta, closed, a
             ), (beta, a)
     print("c10 module census: literal == closed form through grade 6, all cosets PASS")
 

@@ -426,6 +426,17 @@ def test_expand_theta_series_norm4(capsys):
     assert rep["terms"] == [[0, 1, 0], [2, 2, 0], [8, 2, 0]]
 
 
+@pytest.mark.parametrize("lattice", [None, "a3.json"])
+def test_expand_theta_series_empty_ball(lattice, capsys):
+    # <beta,beta>/2 > 0 on coset 1, so order 0 holds no point and no grade
+    args = ["expand", "--what", "theta-series", "--order", "0", "--coset", "1"]
+    args += ["--lattice", str(LATTICE_DIR / lattice)] if lattice else []
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert '"denom":1,' in out
+    assert json.loads(out)["terms"] == []
+
+
 def test_expand_theta_series_a2_coset(capsys):
     code, rep = report_of(
         [

@@ -37,10 +37,12 @@ A2 = EvenLattice(((2, -1), (-1, 2)))
     "L,beta", [(L4, (0,)), (L4, (Fraction(1, 4),)), (A2, (Fraction(1, 3), Fraction(2, 3)))]
 )
 def test_basis_states_are_canonical(L, beta):
-    for grade, m, modes in build_basis(L, beta, 4):
+    den, basis = build_basis(L, beta, 4)
+    for key, offsets, modes in basis:
         assert modes == tuple(sorted(modes))
         assert all(n >= 1 and 0 <= i < L.dim for n, i in modes)
-        assert grade == Fraction(L.norm2(m)) / 2 + sum(n for n, _ in modes)
+        m = [Fraction(b) + x for b, x in zip(beta, offsets)]
+        assert Fraction(key, den) == Fraction(L.norm2(m)) / 2 + sum(n for n, _ in modes)
 
 
 def test_creation_returns_canonical_modes():
@@ -58,9 +60,9 @@ def test_build_basis_dimensions_match_partition_counts():
     # d-colored partitions
     for L, beta in [(L4, (0,)), (A2, (Fraction(1, 3), Fraction(2, 3)))]:
         osc = colored_partition_counts(L.dim, 6)
-        basis = build_basis(L, beta, 6)
+        _, basis = build_basis(L, beta, 6)
         origin_like = min(basis)[1]
-        base_grade = Fraction(L.norm2(origin_like)) / 2
+        base_grade = Fraction(L.norm2([b + x for b, x in zip(beta, origin_like)])) / 2
         for n in range(7 - int(base_grade) - 1):
             got = sum(
                 1
@@ -71,7 +73,7 @@ def test_build_basis_dimensions_match_partition_counts():
 
 
 def test_build_basis_sorted_and_capped():
-    basis = build_basis(L4, (0,), 4)
+    _, basis = build_basis(L4, (0,), 4)
     grades = [g for g, _, _ in basis]
     states = [(m, modes) for _, m, modes in basis]
     assert grades == sorted(grades)
@@ -117,7 +119,7 @@ def test_heisenberg_commutator_a2(m, n):
     """[h(m), h'(n)] = m <h,h'> delta_{m+n,0} on every state of a basis."""
     h, hp = (1.0, 0.0), (0.0, 1.0)
     want_scalar = m * A2.inner(h, hp) if m + n == 0 else 0
-    for _, point, modes in build_basis(A2, A2.cosets[1], 3):
+    for _, point, modes in build_basis(A2, A2.cosets[1], 3)[1]:
         ab = apply_word(A2, [(h, m), (hp, n)], point, modes)
         ba = apply_word(A2, [(hp, n), (h, m)], point, modes)
         comm = dict(ab)
@@ -145,7 +147,7 @@ def test_paired_mode_diagonal_closed_form(L, beta, h, hp):
     gram = np.array(L.gram, dtype=float)
     h_dot_e = np.asarray(h) @ gram
     h_dot_hp = float(h_dot_e @ np.asarray(hp))
-    for _, point, modes in build_basis(L, beta, 4):
+    for _, point, modes in build_basis(L, beta, 4)[1]:
         for k in range(1, 4):
             mu = [modes.count((k, j)) for j in range(L.dim)]
             want = k * h_dot_hp + k * sum(mu[j] * hp[j] * h_dot_e[j] for j in range(L.dim))
@@ -187,12 +189,12 @@ def test_census_accepts_a_list_beta():
 def test_phase_census_grouping():
     a = (Fraction(1, 4),)
     census = census_by_grade(L4, (Fraction(1, 4),), 4)
-    grouped = group_census_by_phase(L4, census, a)
+    grouped = group_census_by_phase(L4, (Fraction(1, 4),), census, a)
     for grade, bucket in census.items():
         # totals preserved, phases recomputed independently
         assert sum(grouped[grade].values()) == sum(bucket.values())
-        for m, count in bucket.items():
-            phase = Fraction(L4.inner(a, m)) % 1
+        for (n,), count in bucket.items():
+            phase = Fraction(L4.inner(a, (Fraction(1, 4) + n,))) % 1
             assert grouped[grade][phase] >= count
 
 
@@ -379,12 +381,13 @@ def per_state_trace(L, beta, vectors, x_span, q_order):
         v1, v2 = vectors
         words = [(k, [(v1, k), (v2, -k)]) for k in range(-x_span, x_span + 1)]
     beta = tuple(Fraction(x) for x in beta)
-    basis = build_basis(L, beta, q_order)
-    qden = math.lcm(24, *(g.denominator for g, _, _ in basis))
+    den, basis = build_basis(L, beta, q_order)
+    qden = math.lcm(24, den)
     shift = Fraction(L.dim, 24)
     coeffs: dict = {}
-    for g, m, modes in basis:
-        q_key = int((g - shift) * qden)
+    for key, n, modes in basis:
+        q_key = int((Fraction(key, den) - shift) * qden)
+        m = tuple(float(b + x) for b, x in zip(beta, n))
         for k, word in words:
             val = diagonal_entry(L, word, m, modes)
             if val:
@@ -421,16 +424,16 @@ def test_diagonal_entry_runs_once_per_distinct_key(monkeypatch, n_insertions):
 
     def counting_entry(L, word, point, modes):
         k = word[0][1]
-        calls[(k, modes) if k else (0, point)] += 1
+        calls[(k, modes) if k else (0, tuple(point))] += 1
         return entry(L, word, point, modes)
 
     monkeypatch.setattr(fock, "diagonal_entry", counting_entry)
     vectors = list(_insertion_vectors(A2.dim))[:n_insertions]
     s_function_trace(A2, beta, vectors, X_SPAN, Q_ORDER)
-    basis = build_basis(A2, beta, Q_ORDER)
+    _, basis = build_basis(A2, beta, Q_ORDER)
     ks = range(-X_SPAN, X_SPAN + 1) if n_insertions == 2 else [0]
     want = {(k, modes) for k in ks if k for _, _, modes in basis}
-    want |= {(0, m) for _, m, _ in basis}
+    want |= {(0, tuple(float(b + x) for b, x in zip(beta, n))) for _, n, _ in basis}
     assert set(calls) == want
     assert set(calls.values()) == {1}
     assert sum(calls.values()) < len(basis) * len(ks)
@@ -442,10 +445,11 @@ def test_diagonal_entries_depend_on_what_the_memo_keys():
     the same float on every modes tuple over the point."""
     v1, v2 = _insertion_vectors(A2.dim)
     for beta in A2.cosets:
-        basis = build_basis(A2, beta, Q_ORDER)
+        _, basis = build_basis(A2, beta, Q_ORDER)
         by_modes: dict = {}
         by_point: dict = {}
-        for _, m, modes in basis:
+        for _, n, modes in basis:
+            m = tuple(float(b + x) for b, x in zip(beta, n))
             for k in range(-X_SPAN, X_SPAN + 1):
                 val = diagonal_entry(A2, [(v1, k), (v2, -k)], m, modes)
                 bucket = by_modes if k else by_point

@@ -148,6 +148,19 @@ def test_involution_validation():
             decomposition_is_valid(bad, (bad,))
 
 
+@pytest.mark.parametrize(
+    "bad", [((1.5, 2), (True, 3.0)), ((1, 2.0),), ((True, 2),), ((1, "2"),), ((Fraction(1), 2),)]
+)
+def test_involution_validation_refuses_non_int_letters(bad):
+    # ((1.5, 2), (True, 3.0)) had three decompositions
+    with pytest.raises(ValueError, match="int"):
+        enumerate_decompositions(bad)
+    with pytest.raises(ValueError, match="int"):
+        verify_sign_lemma(bad)
+    with pytest.raises(ValueError, match="int"):
+        decomposition_is_valid(bad, (bad,))
+
+
 def test_n_cap():
     with pytest.raises(NTooLarge):
         list_involutions(13)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -322,13 +323,13 @@ def test_theta_series_rejects_a_coset_of_the_wrong_dimension():
 
 
 def test_enumerate_vectors_shifted_coset_tight_bound():
-    # <m,m>/2 <= 1/4 around the quarter coset catches exactly one vector
-    got = [m for m, _ in L4.enumerate_vectors((Fraction(1, 4),), Fraction(1, 4))]
-    assert got == [(Fraction(1, 4),)]
+    # <m,m>/2 <= 1 around the quarter coset catches exactly one vector,
+    # m = 1/4 + 0 with <m,m>/2 = 1/8 (the next, -3/4, has 9/8): key 1 over 8
+    assert L4.enumerate_vectors((Fraction(1, 4),), 1) == (8, [((0,), 1)])
 
 
 def test_enumerate_vectors_sorted_and_bounded():
-    pts = [m for m, _ in A2.enumerate_vectors((Fraction(0), Fraction(0)), 6)]
+    pts = [m for m, _ in A2.enumerate_vectors((Fraction(0), Fraction(0)), 6)[1]]
     assert pts == sorted(pts)
     assert all(Fraction(A2.norm2(m)) / 2 <= 6 for m in pts)
     assert len(pts) == len(set(pts))
@@ -337,16 +338,22 @@ def test_enumerate_vectors_sorted_and_bounded():
 
 @pytest.mark.parametrize("L", [L4, A2, A3, D4], ids=["L4", "A2", "A3", "D4"])
 def test_enumerate_vectors_pairs_carry_exact_half_norms(L):
-    bound = 3
+    # the oracle grades exact points: points_in_ball's Fraction points with
+    # their Fraction half-norms, sorted, over the lcm of their denominators
+    zero = [0] * L.dim
+    empty = 0
     for beta in L.cosets:
-        pairs = L.enumerate_vectors(beta, bound)
-        assert pairs
-        for m, h in pairs:
-            assert type(h) is Fraction
-            assert h == Fraction(L.norm2(m)) / 2
-            assert h <= bound
-        pts = [m for m, _ in pairs]
-        assert pts == sorted(pts)
+        for bound in range(4):
+            pts = L.points_in_ball(beta, zero, 2 * bound)
+            graded = sorted((m, Fraction(L.norm2(m)) / 2) for m in pts)
+            den = math.lcm(*(h.denominator for _, h in graded))
+            want = [(tuple(x - b for x, b in zip(m, beta)), h * den) for m, h in graded]
+            got_den, got = L.enumerate_vectors(beta, bound)
+            assert (got_den, got) == (den, want)
+            assert all(type(x) is int for n, k in got for x in n + (k,))
+            empty += not got
+    # the bound-0 ball of a nonzero coset holds no point: den is then 1
+    assert empty == len(L.cosets) - 1
 
 
 @pytest.mark.parametrize(
@@ -356,8 +363,11 @@ def test_enumerate_vectors_pairs_carry_exact_half_norms(L):
         ((0, 0), 4, ValueError, "coordinates"),
         ((0,), -1, ValueError, "negative"),
         ((0,), GRADE_CAP + 1, CutoffTooLarge, "cap"),
+        ((0,), 2.5, ValueError, "int"),
+        ((0,), Fraction(5, 2), ValueError, "int"),
+        ((0,), True, ValueError, "int"),
     ],
-    ids=["non-dual", "wrong-dimension", "negative", "above-cap"],
+    ids=["non-dual", "wrong-dimension", "negative", "above-cap", "float", "fraction", "bool"],
 )
 def test_enumerate_vectors_refuses_bad_input_before_enumerating(
     monkeypatch, beta, bound, error, match
@@ -366,7 +376,7 @@ def test_enumerate_vectors_refuses_bad_input_before_enumerating(
     def boom(*args):
         raise AssertionError("enumerated a refused input")
 
-    monkeypatch.setattr(EvenLattice, "points_in_ball", boom)
+    monkeypatch.setattr(EvenLattice, "_ball_offsets", boom)
     with pytest.raises(error, match=match):
         L4.enumerate_vectors(beta, bound)
 
@@ -383,7 +393,7 @@ def test_theta_series_refuses_a_grade_above_the_cap(monkeypatch):
     def boom(*args):
         raise AssertionError("enumerated above the grade cap")
 
-    monkeypatch.setattr(EvenLattice, "points_in_ball", boom)
+    monkeypatch.setattr(EvenLattice, "_ball_offsets", boom)
     with pytest.raises(CutoffTooLarge):
         A3.theta_series(A3.cosets[1], GRADE_CAP + 1)
 

@@ -347,7 +347,7 @@ def _refuse_enumeration(monkeypatch):
     def boom(*args):
         raise AssertionError("enumerated above the grade cap")
 
-    monkeypatch.setattr(EvenLattice, "points_in_ball", boom)
+    monkeypatch.setattr(EvenLattice, "_ball_offsets", boom)
     monkeypatch.setattr(trace, "colored_partition_counts", boom)
 
 
@@ -367,19 +367,24 @@ def test_moment_series_refuses_a_grade_above_the_cap(monkeypatch):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: L4.theta_series((0,), -1),
-        lambda: moment_series(L4, (0,), [(1.0,)], -1),
-        lambda: graded_trace_series(L4, (0,), -1),
-        lambda: insertion_counts_by_grade(L4, (0,), -1),
-        lambda: build_basis(L4, (0,), -1),
+        lambda g: L4.theta_series((0,), g),
+        lambda g: moment_series(L4, (0,), [(1.0,)], g),
+        lambda g: graded_trace_series(L4, (0,), g),
+        lambda g: insertion_counts_by_grade(L4, (0,), g),
+        lambda g: build_basis(L4, (0,), g),
     ],
     ids=["theta_series", "moment_series", "graded_trace_series", "insertion_counts", "build_basis"],
 )
 def test_exact_builders_refuse_a_negative_cutoff(monkeypatch, build):
     # two used to raise IndexError and three to return an empty result
+    build(1)  # a memoized basis of cutoff 1 must not answer for True or 1.0
     _refuse_enumeration(monkeypatch)
     with pytest.raises(ValueError, match="negative"):
-        build()
+        build(-1)
+    # nor is any cutoff but an int graded: 2.5 and 5/2 raised a bare TypeError
+    for cutoff in (2.5, Fraction(5, 2), True, 1.0):
+        with pytest.raises(ValueError, match="int"):
+            build(cutoff)
 
 
 def test_colored_partition_counts_refuse_a_negative_order():
