@@ -11,12 +11,16 @@ Reports are deterministic for a fixed seed and config except for the
 runtime_ms fields.  Complex numbers are serialized as [re, im] pairs and
 q-expansions as integer exponent numerators over a single shared
 denominator.
+
+`fock` and `involutions` load on first attribute access, by a LazyLoader and not
+local imports, so a `fit` never compiles them and `sys.modules` still holds both.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import json
 import math
 import sys
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
-from . import fock, involutions, modular
+from . import modular
 from ._frozen import Frozen
 from .errors import ConfigError, IllConditioned, LatticeFileError, ThetaTraceError
 from .lattice import EvenLattice, load_lattice
@@ -41,6 +45,22 @@ from .qseries import (
     weierstrass_p,
 )
 from .trace import TracePoint, insertion_counts_by_grade, recursion_series, t_phase, z_table
+
+
+def _lazy_layer(name: str):
+    """thetatrace.<name> if imported, else registered in sys.modules and on
+    the package now, its body compiled and run on first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+fock, involutions = _lazy_layer("fock"), _lazy_layer("involutions")
 
 DEFAULT_GRAM = ((4,),)
 DEFAULT_LABEL = "builtin-norm4"

@@ -23,6 +23,7 @@ whose right-hand side is `trace.recursion_series`.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -151,10 +152,14 @@ def group_census_by_phase(L: EvenLattice, beta: Sequence, census: dict, a: Seque
     exact rational, so the weighted trace per grade is determined by the map
     {<a, m> mod 1: count}.  Comparing these groupings between the literal
     and closed-form censuses checks the zero-mode insertion exactly, with no
-    floating point.
+    floating point.  <a, beta + n> = <a, beta> + sum_i (G a)_i n_i costs a
+    point d integer products over the common denominator of those rationals.
     """
     a = tuple(Fraction(x) for x in a)
-    beta = tuple(Fraction(x) for x in beta)
+    base = L.inner(a, tuple(Fraction(x) for x in beta))
+    ga = [sum(map(operator.mul, row, a)) for row in L.gram]
+    den = math.lcm(base.denominator, *(x.denominator for x in ga))
+    base, ga = int(base * den), [int(x * den) for x in ga]
     phases: dict = {}  # offsets -> <a, m> mod 1, once per point
     out: dict = {}
     for grade, bucket in census.items():
@@ -162,7 +167,7 @@ def group_census_by_phase(L: EvenLattice, beta: Sequence, census: dict, a: Seque
         for n, count in bucket.items():
             phase = phases.get(n)
             if phase is None:
-                phase = phases[n] = L.inner(a, [b + x for b, x in zip(beta, n)]) % 1
+                phase = phases[n] = Fraction((base + sum(map(operator.mul, ga, n))) % den, den)
             grouped[phase] = grouped.get(phase, 0) + count
         out[grade] = grouped
     return out

@@ -609,6 +609,81 @@ def test_commands_run_without_dataclasses():
     assert json.loads(proc.stdout) == [[0, 0, 0], []]
 
 
+def _run_script(script: str):
+    env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True,
+        timeout=300, cwd=REPO_DIR, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_fock_and_involutions_load_on_first_use():
+    # type() and not attribute access, which would load the module: a fit
+    # and an expand leave both layers unexecuted, and the combinatorics and
+    # npoint suites execute them
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from thetatrace import cli\n"
+        "def loaded():\n"
+        "    return [type(sys.modules['thetatrace.' + n]) is types.ModuleType\n"
+        "            for n in ('fock', 'involutions')]\n"
+        "codes, states = [], []\n"
+        "for group in ([['fit', '--alpha', '0,-1,1,0', '--lattice', 'lattices/a2.json'],\n"
+        "               ['expand', '--what', 'theta-series', '--coset', '1',\n"
+        "                '--lattice', 'lattices/a2.json']],\n"
+        "              [['verify', 'combinatorics'],\n"
+        "               ['verify', 'npoint', '--lattice', 'lattices/a2.json']]):\n"
+        "    for args in group:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            codes.append(cli.main(args))\n"
+        "    states.append(loaded())\n"
+        "print(json.dumps([codes, states]))\n"
+    )
+    assert _run_script(script) == [[0, 0, 0, 0], [[False, False], [True, True]]]
+
+
+@pytest.mark.parametrize("cli_first", [True, False], ids=["cli-first", "layer-first"])
+def test_lazy_layers_are_the_modules_imported_by_name(cli_first):
+    # one module object per layer, so one build_basis lru_cache, whichever of
+    # thetatrace.cli and the layer is imported first
+    imports = ["from thetatrace import cli", "import thetatrace.fock, thetatrace.involutions"]
+    script = (
+        "import json, sys\n"
+        + "\n".join(imports if cli_first else imports[::-1]) + "\n"
+        "import thetatrace\n"
+        "from thetatrace import fock, involutions\n"
+        "print(json.dumps([\n"
+        "    fock is cli.fock is thetatrace.fock is sys.modules['thetatrace.fock'],\n"
+        "    involutions is cli.involutions is sys.modules['thetatrace.involutions'],\n"
+        "    cli.fock.build_basis is fock.build_basis,\n"
+        "]))\n"
+    )
+    assert _run_script(script) == [True, True, True]
+
+
+def test_import_cli_registers_every_traced_layer():
+    # the benchmark's tracer reads sys.modules['thetatrace.<layer>'] right
+    # after importing thetatrace.cli and rebinds what getattr finds in the
+    # module's namespace
+    script = (
+        "import json, sys\n"
+        "import thetatrace.cli\n"
+        "pins = {'qseries': 'eta_eval', 'lattice': 'load_lattice', 'trace': 'z_trace',\n"
+        "        'fock': 'build_basis', 'involutions': 'list_involutions',\n"
+        "        'modular': 'fit_transition', 'cli': 'main'}\n"
+        "out = {}\n"
+        "for layer, name in pins.items():\n"
+        "    mod = sys.modules['thetatrace.' + layer]\n"
+        "    fn = getattr(mod, name)\n"
+        "    out[layer] = callable(fn) and vars(mod)[name] is fn\n"
+        "print(json.dumps(out))\n"
+    )
+    layers = ("qseries", "lattice", "trace", "fock", "involutions", "modular", "cli")
+    assert _run_script(script) == {layer: True for layer in layers}
+
+
 @pytest.mark.skipif(
     shutil.which("thetatrace") is None, reason="thetatrace executable not on PATH"
 )
