@@ -186,7 +186,7 @@ class EvenLattice(Frozen):
 
     # -- enumeration -----------------------------------------------------
 
-    def _ball_offsets(self, beta: Sequence, center: Sequence, norm_bound: Fraction) -> list:
+    def _ball_offsets(self, beta: Sequence, center: Sequence, norm_bound) -> list:
         """Integer offsets n of all m = beta + n with <m - c, m - c> <=
         norm_bound, as one list per coordinate: column i holds n_i of every
         point, in the order of points_in_ball.  Raises ValueError unless beta
@@ -197,12 +197,13 @@ class EvenLattice(Frozen):
         sum_i q_i (x_i + sum_{j>i} c_ij x_j)^2 the last coordinate is boxed
         first, and each prefix spends its exact residual budget.
 
-        The recursion runs in integers.  With x = n + shift, P the lcm of
-        the shift denominators and M = P * Ld, each x_j is carried as
-        X_j = x_j P, the completed center t as T = t M, and the budget as
-        budget * K with K = M^2 * Dd * den(bound).  The admissible n at a
-        level are then the integers with |n M + T| <= isqrt(budget // q),
-        an exact interval.
+        The recursion runs in integers, from the exact integer ratios of
+        beta, center and norm_bound (ints, Fractions or floats).  With
+        x = n + shift, P the lcm of the denominators of beta and center and
+        M = P * Ld, each x_j is carried as X_j = x_j P, the completed center
+        t as T = t M, and the budget as budget * K with K = M^2 * Dd *
+        den(bound).  The admissible n at a level are then the integers with
+        |n M + T| <= isqrt(budget // q), an exact interval.
         """
         d = self.dim
         if len(beta) != d or len(center) != d:
@@ -211,15 +212,16 @@ class EvenLattice(Frozen):
             )
         ld, dd, c_scaled, q_scaled = self._scaled_completion
         cols = [[] for _ in range(d)]
-        bound = Fraction(norm_bound)
-        if bound < 0:
+        num, den = norm_bound.as_integer_ratio()
+        if num < 0:
             return cols
-        shift = [Fraction(beta[i]) - Fraction(center[i]) for i in range(d)]
-        p = math.lcm(*(s.denominator for s in shift))
+        # shift = beta - center over the common denominator P of both
+        ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(beta, center)]
+        p = math.lcm(*(v for (_, bd), (_, cd) in ratios for v in (bd, cd)))
+        sp = [bn * (p // bd) - cn * (p // cd) for (bn, bd), (cn, cd) in ratios]  # shift * P
         m = p * ld
-        sp = [int(s * p) for s in shift]  # shift * P
         sm = [v * ld for v in sp]  # shift * M
-        q = [v * bound.denominator for v in q_scaled]  # q_i K / M^2
+        q = [v * den for v in q_scaled]  # q_i K / M^2
         count = 0
         xs = [0] * d  # X_j = x_j P
         ns = [0] * d  # offsets of the current prefix
@@ -249,7 +251,7 @@ class EvenLattice(Frozen):
                 xs[level] = n * p + sp[level]
                 descend(level - 1, budget - q_level * r * r)
 
-        descend(d - 1, bound.numerator * m * m * dd)
+        descend(d - 1, num * m * m * dd)
         return cols
 
     def points_in_ball(self, beta: Sequence, center: Sequence, norm_bound: Fraction) -> list:

@@ -14,11 +14,13 @@ the whole non-lattice part.
 The sum is a Gaussian: terms decay like exp(-pi Im(tau) <y,y>) around a
 computable center, so each point needs only the lattice points of one ball
 around it, and the discarded tail is certified per point.  Evaluation is
-batched: for each coset, one enumerated ball covers the balls of a whole
-batch of points, and its points become integer lists once.  Each point then
-tabulates the d + 1 exponential factors of its terms over those lists with
-cmath.exp, and sums their products in C-level maps (z_table; z_trace,
-z_vector and theta_w are batches of one).  The kernel is plain Python.
+batched (z_table; z_trace, z_vector and theta_w are batches of one): one
+covering ball, worked out once per batch, covers the balls of all its
+points, and each coset enumerates it once and turns its points into integer
+lists.  One batched Gaussian sum per coset ball builds the ball's index
+getters and ranges, and each point tabulates the d + 1 exponential factors
+of its terms over them with cmath.exp and sums their products in C-level
+maps.  The kernel is plain Python.
 
 Sign bookkeeping: the natural pairing on weight-one module elements is the
 negative of the lattice form, <a(-1)1, b(-1)1> = -<a, b>.  That single sign
@@ -30,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from ._frozen import Frozen
@@ -60,7 +62,7 @@ CUSHION = 10**4
 # derived from distances rather than enumerated at its own center.
 COVER_SLACK = 1 + 1e-9
 
-# Largest sum of |log| of the factors that _gaussian_sum multiplies into a
+# Largest sum of |log| of the factors that _gaussian_sums multiplies into a
 # term, so that no partial product leaves double precision; beyond it every
 # term's exponent is summed and exponentiated whole.
 FACTOR_LOG_CAP = 600.0
@@ -99,12 +101,13 @@ def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
         <a, m+b/2> + tau <m+b, m+b>/2
             = tau/2 <m,m> + <a + tau b, G m> + (<a,b> + tau <b,b>)/2,
 
-    the coefficients are (tau/2, constant, a + tau b), each times 2 pi i as
-    _gaussian_sum takes them.  (center, radius^2) is the own ball outside
-    which every term of its sum is below exp(-2 pi margin) of the Gaussian's
-    peak; the margin leaves a factor CUSHION for the lattice count of the
-    discarded tail."""
+    the coefficients are (h, c, l, G l) with h = 2 pi i tau/2, c = 2 pi i
+    times the constant and l = 2 pi i (a + tau b), as _gaussian_sums takes
+    them.  (center, radius^2) is the own ball outside which every term of
+    its sum is below exp(-2 pi margin) of the Gaussian's peak; the margin
+    leaves a factor CUSHION for the lattice count of the discarded tail."""
     d = L.dim
+    g = L.gram
     margin = (math.log(1.0 / rtol) + math.log(CUSHION)) / (2 * math.pi)
     out = []
     for pt in points:
@@ -116,27 +119,24 @@ def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
         # y sits at y* = -w / Im(tau), i.e. at m = y* - Re b
         center = [-(tau.real * b[i].imag + a[i].imag) / tau.imag - b[i].real for i in range(d)]
         lin = [TWO_PI_I * (a[i] + tau * b[i]) for i in range(d)]
+        g_lin = [sum(gij * w for gij, w in zip(row, lin)) for row in g]
         const = (complex(L.inner(a, b)) + tau * complex(L.inner(b, b))) / 2
-        coeffs = (TWO_PI_I * tau / 2, TWO_PI_I * const, lin)
+        coeffs = (TWO_PI_I * tau / 2, TWO_PI_I * const, lin, g_lin)
         out.append((center, 2 * margin / tau.imag, coeffs))
     return out
 
 
-def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list:
-    """[sum_{m in L+beta} e^{2 pi i <a, m+b/2>} q^{<m+b,m+b>/2} for each
-    prepared point of batch], over one enumerated ball that covers every
-    point's own ball.
+def _covers(L: EvenLattice, batch: list) -> list:
+    """[(points, center, bound)]: the covering balls of a prepared batch,
+    which depend on neither the coset nor the terms, so z_table works them
+    out once for all cosets.
 
-    A point's own ball is the exact one at its float center and radius.  The
-    covering ball is centered at the center of the largest own ball, with
+    A covering ball is centered at the center of the largest own ball, with
     radius max_p (dist(c_p, c_0) + r_p) and a relative slack for rounding;
-    terms outside a point's own ball are below its cutoff, so summing them
-    only shrinks the truncation error.  A covering ball beyond the tail
-    cushion splits the batch in halves, down to single points, whose
-    covering ball is their own: the tail checks are those of each point
-    alone, and they run before any term is evaluated.
+    a single point's is its own ball.  A batch whose covering ball holds an
+    estimated count far beyond the tail cushion is split in halves before
+    anything is enumerated, each half with its own cover.
     """
-    d = L.dim
     c0, bound, _ = max(batch, key=lambda p: p[1])
     if len(batch) > 1:
         bound = COVER_SLACK * max(
@@ -146,36 +146,64 @@ def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list
         # its volume over the covolume estimates its count: split without
         # enumerating a ball estimated far beyond the cushion, and leave
         # the exact count to decide near it
+        d = L.dim
         vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * bound ** (d / 2)
         if vol > 4 * CUSHION * math.sqrt(L.det):
-            return _split(L, beta, batch)
-    # the floats are exact binary fractions, so this is the exact ball
-    cols = L._ball_offsets(beta, c0, bound)
-    count = len(cols[0])
-    if not count:
-        # the own ball holds every term within exp(-2 pi margin) of the
-        # Gaussian's peak, but its radius does not grow with the lattice:
-        # when no point of L + beta lies that near the center, the ball is
-        # empty and no relative tail is certified; `verify main-theorem`
-        # meets this above the Im tau floor on Gram [[60]] and [[100]], and
-        # in the S fits on [[10,1],[1,10]]
-        raise TailBoundViolated("empty enumeration ball for the trace sum")
-    # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
-    # cushion covering the lattice-count factor at desk scale
-    if count > CUSHION:
-        if len(batch) > 1:
-            return _split(L, beta, batch)
-        raise TailBoundViolated(f"tail cushion cannot cover {count} enumerated points")
+            half = len(batch) // 2
+            return _covers(L, batch[:half]) + _covers(L, batch[half:])
+    return [(batch, c0, bound)]
+
+
+def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], covers: list) -> list:
+    """[sum_{m in L+beta} e^{2 pi i <a, m+b/2>} q^{<m+b,m+b>/2} for each
+    prepared point of the covers' batches, in order], each batch summed over
+    one enumerated ball of L + beta: its cover (see _covers).
+
+    A point's own ball is the exact one at its float center and radius;
+    terms outside it are below its cutoff, so summing a covering ball's
+    extra terms only shrinks the truncation error.  A covering ball whose
+    exact count exceeds the tail cushion splits its batch in halves, each
+    with its own cover, down to single points, whose covering ball is their
+    own: the tail checks are those of each point alone, and they run before
+    any term is evaluated.
+    """
     beta_f = [float(x) for x in beta]
-    if len(batch) > 1:
-        for center, r2, _ in batch:
-            # the coordinatewise rounding of the center settles almost
-            # every point; the rest enumerate their own ball alone
-            near = [x + round(c - x) - c for x, c in zip(beta_f, center)]
-            if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, center, r2)[0]:
-                raise TailBoundViolated("empty enumeration ball for the trace sum")
-    ball = _ball_lists(L, beta_f, cols)
-    return [_gaussian_sum(L, ball, coeffs) for _, _, coeffs in batch]
+    # rounding a center coordinatewise to the coset moves each coordinate
+    # by at most 1/2, so by a norm of at most sum |g_ij| / 4: an own ball
+    # of larger radius^2 holds a point of every coset
+    settled = COVER_SLACK * sum(abs(x) for row in L.gram for x in row) / 4
+    out = []
+    for batch, center, bound in covers:
+        # the floats are exact binary fractions, so this is the exact ball
+        cols = L._ball_offsets(beta, center, bound)
+        count = len(cols[0])
+        if not count:
+            # the own ball holds every term within exp(-2 pi margin) of the
+            # Gaussian's peak, but its radius does not grow with the lattice:
+            # when no point of L + beta lies that near the center, the ball is
+            # empty and no relative tail is certified; `verify main-theorem`
+            # meets this above the Im tau floor on Gram [[60]] and [[100]], and
+            # in the S fits on [[10,1],[1,10]]
+            raise TailBoundViolated("empty enumeration ball for the trace sum")
+        # discarded terms are below exp(-2 pi margin) of the peak, with a 1e4
+        # cushion covering the lattice-count factor at desk scale
+        if count > CUSHION:
+            if len(batch) == 1:
+                raise TailBoundViolated(f"tail cushion cannot cover {count} enumerated points")
+            half = len(batch) // 2
+            out += _lattice_sums(L, beta, _covers(L, batch[:half]) + _covers(L, batch[half:]))
+            continue
+        if len(batch) > 1:
+            for c, r2, _ in batch:
+                if r2 > settled:
+                    continue
+                # the coordinatewise rounding of the center settles almost
+                # every other point; the rest enumerate their own ball alone
+                near = [x + round(y - x) - y for x, y in zip(beta_f, c)]
+                if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, c, r2)[0]:
+                    raise TailBoundViolated("empty enumeration ball for the trace sum")
+        out += _gaussian_sums(L, _ball_lists(L, beta_f, cols), batch)
+    return out
 
 
 def _ball_lists(L: EvenLattice, beta_f: list, cols: list) -> tuple:
@@ -203,51 +231,58 @@ def _ball_lists(L: EvenLattice, beta_f: list, cols: list) -> tuple:
     return mm_0, g_m0, levels, list(map(at.__getitem__, half)), idx, offs, [max(ix) + 1 for ix in idx]
 
 
-def _gaussian_sum(L: EvenLattice, ball: tuple, coeffs: tuple) -> complex:
-    """sum_m exp(h <m, G m> + <l, G m> + c) over the ball of _ball_lists,
-    for coeffs (h, c, l).
+def _gaussian_sums(L: EvenLattice, ball: tuple, batch: list) -> list:
+    """[sum_m exp(h <m, G m> + <l, G m> + c) over the ball of _ball_lists,
+    for the coefficients (h, c, l, G l) of each prepared point of batch].
 
     With m = m_0 + y the exponent is k + <u, y> + 2 h <y, G y>/2, with k
     and u once per point.  While the factors exp(k), exp(h <y, G y>) and
     exp(u_i y_i) together stay within e^FACTOR_LOG_CAP of 1, each is
     tabulated over its levels or range by cmath.exp, and a term is the
     product of d + 1 table entries, all in C-level maps; otherwise each
-    term's exponent takes d + 1 list passes and cmath.exp.
+    term's exponent takes d + 1 list passes and cmath.exp.  What depends
+    only on the ball, its index getters, ranges and spans, is built once
+    for the whole batch.
     """
     mm_0, g_m0, levels, level_idx, idx, offs, sizes = ball
-    h, c, lin = coeffs
-    u = [2 * h * x + sum(gij * w for gij, w in zip(row, lin)) for x, row in zip(g_m0, L.gram)]
-    k = h * mm_0 + sum(w * x for w, x in zip(lin, g_m0)) + c
-    quad = [2 * h * v for v in levels]
-    reach = abs(k.real) - quad[-1].real + sum(
-        abs(uj.real) * max(abs(o), abs(o + n - 1)) for uj, o, n in zip(u, offs, sizes)
-    )
-    try:
-        if reach <= FACTOR_LOG_CAP:
-            terms = map(list(map(cmath.exp, quad)).__getitem__, level_idx)
-            for uj, o, n, ix in zip(u, offs, sizes, idx):
-                table = list(map(cmath.exp, [uj * (o + i) for i in range(n)]))
-                terms = map(mul, terms, map(table.__getitem__, ix))
-            acc = cmath.exp(k) * sum(terms)
-        else:
-            k += sum(uj * o for uj, o in zip(u, offs))
-            expo = [k + quad[i] for i in level_idx]
-            for uj, ix in zip(u, idx):
-                expo = [e + uj * i for e, i in zip(expo, ix)]
-            acc = sum(map(cmath.exp, expo))
-        if cmath.isfinite(acc):
-            return acc
-    except OverflowError:
-        pass
-    raise TailBoundViolated(
-        "trace sum overflows double precision; insertion vectors are "
-        "outside the desk-scale range"
-    )
-
-
-def _split(L: EvenLattice, beta: Sequence[Fraction], batch: list) -> list:
-    half = len(batch) // 2
-    return _lattice_sums(L, beta, batch[:half]) + _lattice_sums(L, beta, batch[half:])
+    if len(level_idx) > 1:
+        level_get, *gets = [itemgetter(*ix) for ix in (level_idx, *idx)]
+    else:
+        # itemgetter of one index returns the item, not a 1-tuple; the
+        # tables of a one-point ball hold just its entry
+        level_get, *gets = [tuple] * (len(idx) + 1)
+    ranges = [range(o, o + n) for o, n in zip(offs, sizes)]
+    spans = [max(abs(o), abs(o + n - 1)) for o, n in zip(offs, sizes)]
+    sums = []
+    for _, _, (h, c, lin, g_lin) in batch:
+        try:
+            h2 = 2 * h
+            u = [h2 * x + y for x, y in zip(g_m0, g_lin)]
+            k = h * mm_0 + sum(map(complex.__mul__, lin, g_m0)) + c
+            quad = list(map(h2.__mul__, levels))
+            reach = abs(k.real) - quad[-1].real + sum(
+                abs(uj.real) * span for uj, span in zip(u, spans)
+            )
+            if reach <= FACTOR_LOG_CAP:
+                terms = level_get(list(map(cmath.exp, quad)))
+                for uj, ys, get in zip(u, ranges, gets):
+                    terms = map(mul, terms, get(list(map(cmath.exp, map(uj.__mul__, ys)))))
+                acc = cmath.exp(k) * sum(terms)
+            else:
+                k += sum(uj * o for uj, o in zip(u, offs))
+                expo = [k + q for q in level_get(quad)]
+                for uj, ix in zip(u, idx):
+                    expo = [e + uj * i for e, i in zip(expo, ix)]
+                acc = sum(map(cmath.exp, expo))
+        except OverflowError:
+            acc = math.inf
+        if not cmath.isfinite(acc):
+            raise TailBoundViolated(
+                "trace sum overflows double precision; insertion vectors are "
+                "outside the desk-scale range"
+            )
+        sums.append(acc)
+    return sums
 
 
 def z_table(
@@ -262,8 +297,8 @@ def z_table(
     if not points:
         return []
     eta_d = [eta_eval(pt.tau, im_floor) ** L.dim for pt in points]
-    batch = _prepare(L, points, rtol)
-    sums = [_lattice_sums(L, beta, batch) for beta in L.cosets]
+    covers = _covers(L, _prepare(L, points, rtol))
+    sums = [_lattice_sums(L, beta, covers) for beta in L.cosets]
     return [[s[p] / e for s in sums] for p, e in enumerate(eta_d)]
 
 
@@ -278,7 +313,7 @@ def z_trace(
     over the module attached to the coset L + beta, which must be dual: the
     batch kernel on one point."""
     eta_d = eta_eval(point.tau, im_floor) ** L.dim
-    return _lattice_sums(L, L.check_dual(beta), _prepare(L, [point], rtol))[0] / eta_d
+    return _lattice_sums(L, L.check_dual(beta), _covers(L, _prepare(L, [point], rtol)))[0] / eta_d
 
 
 def z_vector(L: EvenLattice, point: TracePoint) -> list:
@@ -293,7 +328,7 @@ def theta_w(L: EvenLattice, beta: Sequence, a: Sequence, tau: complex) -> comple
     dual; the batch kernel on one point."""
     point = TracePoint(tuple(a), (0.0,) * L.dim, tau)
     require_im(point.tau)
-    return _lattice_sums(L, L.check_dual(beta), _prepare(L, [point], TRACE_RTOL))[0]
+    return _lattice_sums(L, L.check_dual(beta), _covers(L, _prepare(L, [point], TRACE_RTOL)))[0]
 
 
 def t_phase(L: EvenLattice, beta: Sequence) -> complex:

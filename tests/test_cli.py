@@ -93,6 +93,25 @@ def test_verify_main_theorem_a2_word_holdout_at_t_power_six(capsys):
     assert words["max_error"] < 1e-10
 
 
+def test_random_words_holdout_runs_each_distinct_matrix_once(monkeypatch):
+    # at seed 12 the five words multiply out to three distinct matrices
+    seed = 12
+    mats = [modular.word_to_matrix(w) for w in modular.random_words(5, 6, seed + 19)]
+    assert len(set(mats)) == 3
+    L = EvenLattice(((4,),))
+    want = max(cli._holdout(L, m, seed + 23) for m in mats)
+    held = []
+    holdout = cli._holdout
+
+    def counted(L, alpha, seed):
+        held.append(alpha)
+        return holdout(L, alpha, seed)
+
+    monkeypatch.setattr(cli, "_holdout", counted)
+    assert cli.check_random_words(cli.RunConfig(L, "norm4", seed)) == want
+    assert held == list(dict.fromkeys(mats))
+
+
 def test_verify_all_a3_passes(capsys):
     # the shipped rank-three lattice: A3, det 4, every suite in one run
     assert load_lattice(str(LATTICE_DIR / "a3.json")).det == 4

@@ -18,9 +18,10 @@ from thetatrace.errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
-from thetatrace import lattice
+from thetatrace import lattice, trace
 from thetatrace.lattice import EvenLattice, load_lattice
 from thetatrace.qseries import GRADE_CAP
+from thetatrace.trace import TracePoint
 
 L4 = EvenLattice(((4,),))
 A2 = EvenLattice(((2, -1), (-1, 2)))
@@ -245,6 +246,44 @@ def test_points_in_ball_matches_brute_force(L, beta, center, bound):
 )
 def test_points_in_ball_rounded_centers_and_rank_3_4(L, beta, center, bound, span):
     assert L.points_in_ball(beta, center, bound) == _ball_in_order(L, beta, center, bound, span)
+
+
+def _trace_covers(L, point):
+    """The covering balls (center, bound) that the trace kernel enumerates
+    for a batch of the point and a shifted copy: raw floats."""
+    pts = [TracePoint(*point), TracePoint(point[0], tuple(x + 0.3j for x in point[1]), point[2])]
+    covers = trace._covers(L, trace._prepare(L, pts, trace.TRACE_RTOL))
+    return [(center, bound) for _, center, bound in covers]
+
+
+@pytest.mark.parametrize(
+    "L,beta,center,bound",
+    [
+        *((A2, beta, c, r) for beta in A2.cosets
+          for c, r in _trace_covers(A2, ((0.1 + 0.03j, -0.07j), (0.15, 0.08 - 0.04j), -0.22 + 0.95j))),
+        *((A3, beta, c, r) for beta in A3.cosets
+          for c, r in _trace_covers(A3, ((0.1j, 0.2, -0.05j), (0.15, 0.0, 0.1), 0.3 + 1.4j))),
+        # one point: the origin alone lies within 0.5 of (0.1, -0.2)
+        (A2, (Fraction(0), Fraction(0)), (0.1, -0.2), 0.5),
+        # empty: the nearest points of L4 lie at squared distance 4 (0.5)^2 = 1
+        (L4, (Fraction(0),), (0.5,), 0.999),
+        (A2, (Fraction(1, 3), Fraction(2, 3)), (0.25, -0.125), -0.5),
+    ],
+)
+def test_ball_offsets_of_floats_match_their_exact_fractions(L, beta, center, bound):
+    # the kernel passes its float centers and bounds as they are; their
+    # integer ratios make the ball of the exact Fractions, in order
+    got = L._ball_offsets(beta, center, bound)
+    assert got == L._ball_offsets(beta, [Fraction(x) for x in center], Fraction(bound))
+    points = list(zip(*([b + n for n in col] for b, col in zip(beta, got))))
+    assert points == _ball_in_order(L, beta, center, bound, 6)
+
+
+def test_ball_offsets_of_floats_one_point_and_empty():
+    # the one-point and empty cases of the cases above
+    assert A2._ball_offsets((Fraction(0), Fraction(0)), (0.1, -0.2), 0.5) == [[0], [0]]
+    assert L4._ball_offsets((Fraction(0),), (0.5,), 0.999) == [[]]
+    assert L4._ball_offsets((Fraction(0),), (0.5,), 1.0) == [[0, 1]]
 
 
 def test_points_in_ball_includes_points_on_the_bound():

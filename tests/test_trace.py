@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ def test_lattice_sum_matches_term_by_term_sum(L, im_tau):
         complex(0.17, im_tau),
     )
     for beta in L.cosets:
-        lhs = trace._lattice_sums(L, beta, trace._prepare(L, [pt], TRACE_RTOL))[0]
+        lhs = trace._lattice_sums(L, beta, trace._covers(L, trace._prepare(L, [pt], TRACE_RTOL)))[0]
         rhs = _literal_lattice_sum(L, beta, pt, TRACE_RTOL)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
         # the kernel's integer offsets are the exact ball, in order
@@ -258,6 +259,62 @@ def test_z_table_splits_a_batch_beyond_the_cushion(monkeypatch, shift, covering)
     assert all(n > 5900 for n in counts)
 
 
+@pytest.mark.parametrize("L", [L4, A2, A3], ids=["norm4", "a2", "a3"])
+def test_z_table_covers_a_batch_once_for_all_cosets(monkeypatch, L):
+    # a batch that needs no split: one covering ball is worked out for the
+    # batch, and each coset enumerates it once
+    d = L.dim
+    pts = [
+        TracePoint(tuple(0.02 * k for _ in range(d)), tuple(0.01 * k for _ in range(d)), 1.1j)
+        for k in range(5)
+    ]
+    want = z_table(L, pts)
+    covers, enumerated = [], []
+    cover = trace._covers
+    offsets = EvenLattice._ball_offsets
+
+    def counted_cover(L, batch):
+        covers.append(len(batch))
+        return cover(L, batch)
+
+    def counted_offsets(self, beta, center, bound):
+        enumerated.append(beta)
+        return offsets(self, beta, center, bound)
+
+    monkeypatch.setattr(trace, "_covers", counted_cover)
+    monkeypatch.setattr(EvenLattice, "_ball_offsets", counted_offsets)
+    assert z_table(L, pts) == want
+    assert covers == [len(pts)]
+    assert enumerated == list(L.cosets)
+
+
+@pytest.mark.parametrize("cap", [trace.FACTOR_LOG_CAP, -1.0], ids=["tables", "whole"])
+def test_gaussian_sums_over_a_one_point_ball(monkeypatch, cap):
+    # on Gram [[10]] at Im tau = 3 the own ball around 0 holds m = 0 alone,
+    # whose term is e^0; a one-index itemgetter returns no tuple
+    L10 = EvenLattice(((10,),))
+    pt = TracePoint((0.0,), (0.0,), 3j)
+    monkeypatch.setattr(trace, "FACTOR_LOG_CAP", cap)
+    covers = trace._covers(L10, trace._prepare(L10, [pt, pt], TRACE_RTOL))
+    assert [len(L10._ball_offsets((0,), c, r)[0]) for _, c, r in covers] == [1]
+    assert trace._lattice_sums(L10, (Fraction(0),), covers) == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "L", [L4, A2, A3, L60, EvenLattice(((10, 1), (1, 10)))], ids=["norm4", "a2", "a3", "l60", "l10-1"]
+)
+def test_own_balls_past_the_rounding_reach_hold_a_point(L):
+    # a batch skips the empty-own-ball check of a point whose radius^2
+    # exceeds sum |g_ij| / 4; no center, not even a deep hole, has an empty
+    # ball of that radius^2 in any coset
+    reach = sum(abs(x) for row in L.gram for x in row) / 4
+    rng = random.Random(5)
+    centers = [[0.5] * L.dim] + [[rng.uniform(-3, 3) for _ in range(L.dim)] for _ in range(40)]
+    for beta in L.cosets:
+        for c in centers:
+            assert L._ball_offsets(beta, c, reach)[0]
+
+
 def test_z_table_refuses_a_point_with_an_empty_own_ball():
     # on Gram [[60]] at Im tau = 1 the own ball has coordinate radius 0.47:
     # around 0 it holds the origin, around -1/2 nothing, although the
@@ -299,7 +356,7 @@ def test_z_trace_tail_cushion_checked_before_summing(monkeypatch):
     def no_terms(*args):
         raise AssertionError("a term was summed")
 
-    monkeypatch.setattr(trace, "_gaussian_sum", no_terms)
+    monkeypatch.setattr(trace, "_gaussian_sums", no_terms)
     with pytest.raises(TailBoundViolated, match="11977 enumerated points"):
         z_trace(A2, A2.cosets[0], TracePoint((0, 0), (0, 0), 0.002j), im_floor=0.001)
 
