@@ -528,15 +528,9 @@ def run_fit(cfg: RunConfig, alpha: modular.UnimodularMatrix) -> dict:
     }
 
 
-def _series_terms(series, exact: bool) -> list:
-    out = []
-    for k, v in sorted(series.coeffs.items()):
-        if exact:
-            # counting and sign series: coefficients are exact small integers
-            out.append([k, int(round(v.real)), 0])
-        else:
-            out.append([k, v.real, v.imag])
-    return out
+def _series_terms(series) -> list:
+    """[key, re, im] per term; an int coefficient prints as [key, n, 0]."""
+    return [[k, v.real, v.imag] for k, v in sorted(series.coeffs.items())]
 
 
 def run_expand(cfg: RunConfig, what: str, order: int, coset: int) -> dict:
@@ -544,27 +538,23 @@ def run_expand(cfg: RunConfig, what: str, order: int, coset: int) -> dict:
         raise ConfigError(f"--order must be a nonnegative integer, got {order}")
     if what == "eta":
         series = dedekind_eta(order)
-        terms = _series_terms(series, exact=True)
     elif what == "g2":
         series = eisenstein_g2(order)
-        terms = _series_terms(series, exact=False)
     elif what == "theta-series":
         cosets = cfg.lattice.cosets
         if not (0 <= coset < len(cosets)):
             raise ConfigError(f"coset index {coset} out of range 0..{len(cosets) - 1}")
         series = cfg.lattice.theta_series(cosets[coset], order)
-        terms = _series_terms(series, exact=True)
     else:
         raise ConfigError(f"unknown expansion target {what!r}")
-    denom = series.denom
     return {
         "schema": 1,
         "suite": "expand",
         "what": what,
         "lattice": cfg.lattice_label,
         "order": order,
-        "denom": denom,
-        "terms": terms,
+        "denom": series.denom,
+        "terms": _series_terms(series),
     }
 
 

@@ -43,7 +43,10 @@ def _colored_multisets(budget: int, dims: int):
                 for rest in rec(remaining - n, (n, i)):
                     yield ((n, i),) + rest
 
-    yield from rec(budget, (1, 0))
+    try:
+        yield from rec(budget, (1, 0))
+    finally:
+        rec = None  # rec refers to itself: break the cycle so it is freed now
 
 
 @lru_cache(maxsize=None, typed=True)

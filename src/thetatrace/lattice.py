@@ -251,7 +251,10 @@ class EvenLattice(Frozen):
                 xs[level] = n * p + sp[level]
                 descend(level - 1, budget - q_level * r * r)
 
-        descend(d - 1, num * m * m * dd)
+        try:
+            descend(d - 1, num * m * m * dd)
+        finally:
+            descend = None  # descend refers to itself: break the cycle so it is freed now
         return cols
 
     def points_in_ball(self, beta: Sequence, center: Sequence, norm_bound: Fraction) -> list:

@@ -39,7 +39,7 @@ WORD_FLOOR = 5e-3
 WORD_RTOL = 1e-10
 TOKEN_CAP = 10**6  # most T-tokens a decomposition word may hold
 ENTRY_CAP = 10**6  # largest |entry| of alpha that adapted_samples accepts
-SAMPLE_SCALE = 0.2  # insertion-vector scale of the adapted samples
+SAMPLE_SCALE = 0.2  # insertion-vector scale of sample_points
 N_HOLDOUT = 20  # held-out points per validated fit
 SWEEP_CAP = 60  # most Jacobi sweeps of one least-squares solve
 
@@ -160,21 +160,21 @@ def seeded_rng(seed: int) -> random.Random:
 
 
 def sample_points(
-    dim: int,
-    count: int,
-    seed: int,
-    scale: float = 0.2,
-    re_range: Tuple[float, float] = (-0.4, 0.4),
-    im_range: Tuple[float, float] = (0.8, 1.6),
-    re_center: float = 0.0,
-    real_vectors: bool = False,
+    dim: int, count: int, seed: int, real_vectors: bool = False, center: float | None = None
 ) -> List[TracePoint]:
     """Deterministic batch of trace evaluation points in general position.
 
-    Vector components are bounded draws (uniform in a disc-like box) so term
-    magnitudes in the trace sums stay controlled.
+    Vector components are bounded draws (uniform in a disc-like box of half
+    side SAMPLE_SCALE) so term magnitudes in the trace sums stay controlled;
+    real_vectors draws no imaginary parts.  tau is drawn from Re tau in
+    (-0.4, 0.4), Im tau in (0.8, 1.6), or, given a center, from Re tau in
+    center +- 0.15, Im tau in (0.3, 0.55) with vectors at half the scale.
     """
     rng = seeded_rng(seed)
+    if center is None:
+        scale, re_range, im_range, center = SAMPLE_SCALE, (-0.4, 0.4), (0.8, 1.6), 0.0
+    else:
+        scale, re_range, im_range = SAMPLE_SCALE / 2, (-0.15, 0.15), (0.3, 0.55)
 
     def vec():
         re = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
@@ -183,7 +183,7 @@ def sample_points(
 
     out = []
     for _ in range(count):
-        tau = complex(re_center + rng.uniform(*re_range), rng.uniform(*im_range))
+        tau = complex(center + rng.uniform(*re_range), rng.uniform(*im_range))
         out.append(TracePoint(vec(), vec(), tau))
     return out
 
@@ -210,17 +210,8 @@ def adapted_samples(alpha: UnimodularMatrix, dim: int, count: int, seed: int) ->
             f"alpha has an entry beyond {ENTRY_CAP}; alpha.tau loses double precision"
         )
     if alpha.f == 0:
-        return sample_points(dim, count, seed, SAMPLE_SCALE, real_vectors=abs(alpha.b) > 1)
-    return sample_points(
-        dim,
-        count,
-        seed,
-        SAMPLE_SCALE / 2,
-        re_range=(-0.15, 0.15),
-        im_range=(0.3, 0.55),
-        re_center=-alpha.d / alpha.f,
-        real_vectors=True,
-    )
+        return sample_points(dim, count, seed, real_vectors=abs(alpha.b) > 1)
+    return sample_points(dim, count, seed, real_vectors=True, center=-alpha.d / alpha.f)
 
 
 def _vector_table(

@@ -8,6 +8,11 @@ silently pretending exactness.  Eta, the coset theta series and the module
 characters are such series.  `BiSeries` is the two-variable analogue in x and
 q used by the trace recursion, truncated in both variables.
 
+Neither container converts its coefficients: a series keeps the type it was
+built with, and sums and products start from the integers 0 and 1, so integer
+series (eta, the theta series, the characters) stay exact integer series.
+Numbers enter only through scale, and reciprocal works in floats.
+
 On top of them sit the evaluators: the Dedekind eta product, the weight-two
 Eisenstein series, the two-variable kernel
 
@@ -105,9 +110,9 @@ def _require_int_horizon(value) -> None:
 class TruncatedSeries(Frozen):
     """Laurent series in q^(1/denom), trusted through guaranteed_order.
 
-    coeffs maps integer keys k to the coefficient of q^(k/denom).  Stored
-    keys never exceed guaranteed_order.  A number enters a series only
-    through scale.
+    coeffs maps integer keys k to the coefficient of q^(k/denom), stored as
+    given: int coefficients stay ints through +, - and *.  Stored keys never
+    exceed guaranteed_order.  A number enters a series only through scale.
     """
 
     __slots__ = _fields = ("denom", "coeffs", "guaranteed_order")
@@ -120,7 +125,7 @@ class TruncatedSeries(Frozen):
         for k, v in coeffs.items():
             k = index(k)
             if v != 0 and k <= guaranteed_order:
-                cleaned[k] = complex(v)
+                cleaned[k] = v
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "guaranteed_order", guaranteed_order)
@@ -131,12 +136,13 @@ class TruncatedSeries(Frozen):
     def min_exp(self) -> Optional[int]:
         return min(self.coeffs) if self.coeffs else None
 
-    def coefficient(self, exponent) -> complex:
-        """Coefficient at a rational exponent (in q-units, not key units)."""
+    def coefficient(self, exponent):
+        """Coefficient at a rational exponent (in q-units, not key units),
+        0 where none is stored."""
         key = Fraction(exponent) * self.denom
         if key.denominator != 1:
-            return 0j
-        return self.coeffs.get(int(key), 0j)
+            return 0
+        return self.coeffs.get(int(key), 0)
 
     # -- denominator lifting -----------------------------------------
 
@@ -161,7 +167,7 @@ class TruncatedSeries(Frozen):
         a, b = self._aligned(other)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
-            out[k] = out.get(k, 0j) + v
+            out[k] = out.get(k, 0) + v
         return TruncatedSeries(a.denom, out, min(a.guaranteed_order, b.guaranteed_order))
 
     __radd__ = __add__
@@ -199,7 +205,7 @@ class TruncatedSeries(Frozen):
             for kb, vb in b.coeffs.items():
                 k = ka + kb
                 if k <= g:
-                    out[k] = out.get(k, 0j) + va * vb
+                    out[k] = out.get(k, 0) + va * vb
         return TruncatedSeries(a.denom, out, g)
 
     __rmul__ = __mul__
@@ -262,10 +268,10 @@ class TruncatedSeries(Frozen):
 class BiSeries(Frozen):
     """Series in x and q, truncated in both variables.
 
-    coeffs maps (j, m) to the coefficient of x^j q^(m/q_denom).  Coefficients
-    are trusted for x_min <= j <= x_max and m <= q_order; outside that window
-    they are unknown.  A series without x is a TruncatedSeries, never a
-    BiSeries.
+    coeffs maps (j, m) to the coefficient of x^j q^(m/q_denom), stored as
+    given, like TruncatedSeries'.  Coefficients are trusted for x_min <= j <=
+    x_max and m <= q_order; outside that window they are unknown.  A series
+    without x is a TruncatedSeries, never a BiSeries.
     """
 
     __slots__ = _fields = ("x_min", "x_max", "q_order", "coeffs", "q_denom")
@@ -280,18 +286,18 @@ class BiSeries(Frozen):
         for (j, m), v in (coeffs or {}).items():
             j, m = index(j), index(m)
             if v != 0 and m <= q_order and x_min <= j <= x_max:
-                cleaned[(j, m)] = complex(v)
+                cleaned[(j, m)] = v
         object.__setattr__(self, "x_min", x_min)
         object.__setattr__(self, "x_max", x_max)
         object.__setattr__(self, "q_order", q_order)
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "q_denom", q_denom)
 
-    def coefficient(self, j: int, q_exponent) -> complex:
+    def coefficient(self, j: int, q_exponent):
         key = Fraction(q_exponent) * self.q_denom
         if key.denominator != 1:
-            return 0j
-        return self.coeffs.get((j, int(key)), 0j)
+            return 0
+        return self.coeffs.get((j, int(key)), 0)
 
     def with_q_denom(self, q_denom: int) -> "BiSeries":
         if q_denom == self.q_denom:
@@ -320,7 +326,7 @@ class BiSeries(Frozen):
         a, b = self._aligned(other)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
-            out[k] = out.get(k, 0j) + v
+            out[k] = out.get(k, 0) + v
         x_lo, x_hi = max(a.x_min, b.x_min), min(a.x_max, b.x_max)
         return BiSeries(x_lo, x_hi, min(a.q_order, b.q_order), out, a.q_denom)
 
@@ -352,7 +358,7 @@ class BiSeries(Frozen):
             for (jb, mb), vb in b.coeffs.items():
                 key = (ja + jb, ma + mb)
                 if key[1] <= q_g:
-                    out[key] = out.get(key, 0j) + va * vb
+                    out[key] = out.get(key, 0) + va * vb
         return BiSeries(a.x_min, a.x_max, q_g, out, a.q_denom)
 
     __rmul__ = __mul__

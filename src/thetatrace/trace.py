@@ -370,7 +370,7 @@ def moment_series(
     q^q_order.
 
     weights is a (possibly empty) list of complex vectors; the empty product
-    makes this the plain coset theta series.  The grades are the keys of
+    1 makes this the plain coset theta series, an int series.  The grades are the keys of
     enumerate_vectors; terms are summed in the pairs' (sorted) order.
     """
     return _moments(L, beta, L.enumerate_vectors(beta, q_order), weights, q_order)
@@ -386,10 +386,10 @@ def _moments(
     coeffs: dict = {}
     for n, key in pairs:
         mf = [float(b + x) for b, x in zip(beta, n)]
-        val = 1.0 + 0j
+        val = 1
         for wv in weights:
             val *= complex(L.inner(wv, mf))
-        coeffs[key] = coeffs.get(key, 0j) + val
+        coeffs[key] = coeffs.get(key, 0) + val
     return TruncatedSeries(den, coeffs, q_order * den)
 
 
@@ -400,8 +400,9 @@ def graded_trace_series(
     lattice grade q_order.
 
     Zero modes are constant on oscillator towers, so the trace factors into
-    the weighted coset sum times eta^-d = q^{-d/24} prod (1-q^n)^-d.  Half
-    norms are >= 0, so the product is trusted through q^{q_order - d/24}.
+    the weighted coset sum times eta^-d = q^{-d/24} prod (1-q^n)^-d, an
+    int series: without weights the character is one too.  Half norms are
+    >= 0, so the product is trusted through q^{q_order - d/24}.
     """
     return _graded_traces(L, beta, q_order, [weights])[0]
 

@@ -483,6 +483,24 @@ def test_expand_eta(capsys):
     assert rep["terms"] == [[1, 1, 0], [25, -1, 0], [49, -1, 0]]
 
 
+def test_expand_prints_int_coefficients_as_ints(capsys):
+    # json.loads reads 1 and 1.0 alike, so look at the raw text
+    _, out, _ = run_cli(["expand", "--what", "eta", "--order", "3"], capsys)
+    assert '"terms":[[1,1,0],[25,-1,0],[49,-1,0]]' in out
+    args = ["expand", "--what", "theta-series", "--lattice", str(LATTICE_DIR / "a2.json")]
+    _, out, _ = run_cli(args + ["--order", "2", "--coset", "1"], capsys)
+    assert '"terms":[[1,3,0],[4,3,0]]' in out
+    _, out, _ = run_cli(args + ["--order", "1"], capsys)
+    assert '"terms":[[0,1,0],[1,6,0]]' in out
+
+
+def test_series_terms_do_not_round():
+    # a coefficient that is not an integer prints as it is, never rounded
+    series = qseries.TruncatedSeries(2, {0: 2, 1: 0.5 + 1j, 3: 1.0}, 3)
+    assert cli._series_terms(series) == [[0, 2, 0], [1, 0.5, 1.0], [3, 1.0, 0.0]]
+    assert json.dumps(cli._series_terms(series)) == "[[0, 2, 0], [1, 0.5, 1.0], [3, 1.0, 0.0]]"
+
+
 def test_expand_g2_constant_term(capsys):
     import math
 

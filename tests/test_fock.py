@@ -1,4 +1,5 @@
 import ast
+import gc
 import math
 from collections import Counter
 from fractions import Fraction
@@ -83,6 +84,18 @@ def test_build_basis_sorted_and_capped():
         build_basis(L4, (0,), 100)
     # one cap for both sides of the census cross-check
     assert fock.GRADE_CAP == qseries.GRADE_CAP == 60
+
+
+def test_colored_multisets_leave_no_reference_cycle():
+    # the recursive rec refers to itself; the cycle is broken once the
+    # generator finishes, so a call leaves nothing for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(fock._colored_multisets(3, 2))) == 1 + 2 + 5 + 10  # 2-colored p(0..3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

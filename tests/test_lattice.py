@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -284,6 +285,22 @@ def test_ball_offsets_of_floats_one_point_and_empty():
     assert A2._ball_offsets((Fraction(0), Fraction(0)), (0.1, -0.2), 0.5) == [[0], [0]]
     assert L4._ball_offsets((Fraction(0),), (0.5,), 0.999) == [[]]
     assert L4._ball_offsets((Fraction(0),), (0.5,), 1.0) == [[0, 1]]
+
+
+def test_ball_offsets_leave_no_reference_cycle():
+    # the recursive descend refers to itself; the cycle is broken on return,
+    # so a call leaves nothing for the cyclic garbage collector
+    beta = (Fraction(1, 3), Fraction(2, 3))
+    A2._ball_offsets(beta, (0.1, 0.2), 3)  # fill the cached completion
+    gc.collect()
+    gc.disable()
+    try:
+        A2._ball_offsets(beta, (0.1, 0.2), 3)
+        assert gc.collect() == 0
+        A2.enumerate_vectors(beta, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_points_in_ball_includes_points_on_the_bound():

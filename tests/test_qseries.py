@@ -50,6 +50,28 @@ def test_series_mul_trust_window():
     assert c.coefficient(1) == 0
 
 
+def _types(series) -> set:
+    return {type(v) for v in series.coeffs.values()}
+
+
+def test_series_keep_the_type_of_their_coefficients():
+    # sums and products start from the integers 0 and 1: int series stay int
+    # series, exactly, and a number enters only through scale
+    a = TruncatedSeries(2, {-1: 3, 0: 1, 4: -2}, 6)
+    b = TruncatedSeries(3, {0: 1, 2: 5}, 9)
+    for got in (a + b, a - b, -a, a * b, b ** 3, a.with_denom(4)):
+        assert _types(got) == {int}
+    assert (a * b).coeffs == {-3: 3, 0: 1, 1: 15, 4: 5, 12: -2}
+    assert _types(a.scale(0.5)) == {float}
+    assert _types(a.scale(1j)) == {complex}
+    assert int not in _types(b.reciprocal())  # division works in floats
+    x = BiSeries(-2, 2, 4, {(1, 0): 2, (-1, 1): -1})
+    for got in (x + a, x - x.scale(2), -x, x * b, x.with_q_denom(2)):
+        assert _types(got) <= {int} and got.coeffs
+    assert (x * b).coeffs == {(1, 0): 2, (1, 2): 10, (-1, 3): -1, (-1, 5): -5}
+    assert a.coefficient(Fraction(1, 3)) == 0 and type(a.coefficient(Fraction(1, 3))) is int
+
+
 def test_series_mul_laurent_shift_extends_trust():
     a = TruncatedSeries(1, {-2: 1.0}, 10)  # monomial q^-2, known through q^10
     b = TruncatedSeries(1, {0: 1, 1: 5}, 4)

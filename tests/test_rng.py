@@ -60,6 +60,39 @@ def test_golden_stream_of_seed_zero():
     ]
 
 
+def test_golden_adapted_samples_of_seed_zero():
+    # the narrow box around -d/f with real vectors at half scale (f != 0),
+    # the wide box with real vectors (f = 0, |b| > 1), and with complex
+    # vectors the plain sample_points stream (f = 0, |b| <= 1)
+    assert _bits(modular.adapted_samples(modular.UnimodularMatrix(2, 1, 5, 3), 2, 2, 0)) == [
+        (
+            [("-0x1.044563229e1b3p-6", "0x0.0p+0"), ("-0x1.8afda4d3df6f7p-5", "0x0.0p+0")],
+            [("0x1.278f5fd1e349ap-9", "0x0.0p+0"), ("-0x1.37830687e4274p-6", "0x0.0p+0")],
+            ("-0x1.fc97f6a46815ap-2", "0x1.f53c7fefb0141p-2"),
+        ),
+        (
+            [("-0x1.32bf974ef8d00p-8", "0x0.0p+0"), ("0x1.1139eca06c987p-6", "0x0.0p+0")],
+            [("0x1.4e5379aff7f1fp-4", "0x0.0p+0"), ("0x1.eb73d3ee49ccdp-11", "0x0.0p+0")],
+            ("-0x1.079bc910111b6p-1", "0x1.80d91a522b6aep-2"),
+        ),
+    ]
+    assert _bits(modular.adapted_samples(modular.UnimodularMatrix(1, 3, 0, 1), 2, 2, 0)) == [
+        (
+            [("-0x1.044563229e1b3p-5", "0x0.0p+0"), ("-0x1.8afda4d3df6f7p-4", "0x0.0p+0")],
+            [("0x1.278f5fd1e349ap-8", "0x0.0p+0"), ("-0x1.37830687e4274p-5", "0x0.0p+0")],
+            ("0x1.1a267f5aa62cap-2", "0x1.68077096ca4d8p+0"),
+        ),
+        (
+            [("-0x1.32bf974ef8d00p-7", "0x0.0p+0"), ("0x1.1139eca06c987p-5", "0x0.0p+0")],
+            [("0x1.4e5379aff7f1fp-3", "0x0.0p+0"), ("0x1.eb73d3ee49ccdp-10", "0x0.0p+0")],
+            ("0x1.d0f9c176c0fdcp-3", "0x1.0aeb1f4bf9c63p+0"),
+        ),
+    ]
+    assert _bits(modular.adapted_samples(modular.T, 2, 2, 0)) == _bits(
+        modular.sample_points(2, 2, 0)
+    )
+
+
 def test_samples_are_deterministic_per_seed():
     assert _bits(modular.sample_points(3, 4, 7)) == _bits(modular.sample_points(3, 4, 7))
     assert _bits(modular.sample_points(3, 4, 7)) != _bits(modular.sample_points(3, 4, 8))

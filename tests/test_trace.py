@@ -3,14 +3,15 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from thetatrace import trace
 from thetatrace.errors import CutoffTooLarge, ImTooSmall, TailBoundViolated
 from thetatrace.fock import build_basis
-from thetatrace.lattice import EvenLattice
-from thetatrace.qseries import GRADE_CAP, eta_eval, jacobi_theta
+from thetatrace.lattice import EvenLattice, load_lattice
+from thetatrace.qseries import GRADE_CAP, dedekind_eta, eta_eval, jacobi_theta
 from thetatrace.trace import (
     TRACE_RTOL,
     TracePoint,
@@ -32,6 +33,7 @@ A2 = EvenLattice(((2, -1), (-1, 2)))
 A3 = EvenLattice(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
 L60 = EvenLattice(((60,),))
 HALF = Fraction(1, 2)
+LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
 
 
 def _brute_z_trace(L, beta, point, span=40):
@@ -603,3 +605,26 @@ def test_insertion_counts_by_grade_matches_series():
     for grade, by_point in census.items():
         total = sum(by_point.values())
         assert abs(series.coefficient(grade - shift) - total) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["norm4", "a2", "a3", "n10"])
+def test_counting_series_are_int_series(name):
+    # eta, the theta series, the plain moment series and the characters are
+    # built from integers, so every coefficient stays an exact int
+    L = load_lattice(str(LATTICE_DIR / f"{name}.json"))
+    series = [dedekind_eta(40), dedekind_eta(6) ** 2]
+    for beta in L.cosets:
+        series += [
+            L.theta_series(beta, 4),
+            moment_series(L, beta, (), 4),
+            graded_trace_series(L, beta, 4),
+        ]
+    for s in series:
+        assert s.coeffs and {type(v) for v in s.coeffs.values()} == {int}
+    # and the character equals the closed-form census exactly
+    for beta in L.cosets:
+        got = graded_trace_series(L, beta, 4)
+        den = L.enumerate_vectors(beta, 4)[0]
+        for key, by_point in insertion_counts_by_grade(L, beta, 4).items():
+            grade = Fraction(key, den) - Fraction(L.dim, 24)
+            assert got.coefficient(grade) == sum(by_point.values())
