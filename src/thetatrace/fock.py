@@ -4,10 +4,10 @@ A basis state is a pair (point, modes): the integer offsets n of a point
 m = beta + n of L + beta and a sorted tuple of oscillator excitations (mode
 >= 1, basis direction); its L(0)-grade is <m,m>/2 plus the sum of the modes,
 as an integer key over the coset's denominator.  In V_L = M(1) (x) C[L+beta]
-every h(n) with n != 0 acts on the modes alone and h(0) is the scalar <h, m>,
-so mode operators act symbolically on the modes tuple and products of
-operators are exact on any state; no basis-matrix truncation enters.  Traces
-over all states of grade <= N are therefore exact through q^N.
+every h(n) with n != 0 acts on the modes alone and h(0) is the scalar <h, m>
+at the exact point m, so modes act symbolically, in the number type of h
+(float, int or Fraction), and products of operators are exact on any state:
+traces over all states of grade <= N are exact through q^N.
 
 This module imports only `lattice` and `qseries`: it is the oracle that
 the closed forms of `trace` are checked against, and the literal side of
@@ -69,7 +69,7 @@ def build_basis(L: EvenLattice, beta: Sequence, grade_max: int) -> Tuple[int, tu
     return den, tuple(states)
 
 
-def apply_mode(L: EvenLattice, h: Sequence, n: int, modes: tuple) -> Dict[tuple, complex]:
+def apply_mode(L: EvenLattice, h: Sequence, n: int, modes: tuple) -> dict:
     """Action of the mode h(n), n != 0, on the excitations of a state, as a
     modes -> coefficient map.
 
@@ -83,15 +83,15 @@ def apply_mode(L: EvenLattice, h: Sequence, n: int, modes: tuple) -> Dict[tuple,
         raise ValueError("h(0) acts on the lattice point; use apply_word")
     d = L.dim
     g = L.gram
-    out: Dict[tuple, complex] = {}
+    out: dict = {}
     if n < 0:
         k = -n
         for i in range(d):
-            hi = complex(h[i])
+            hi = h[i]
             if hi == 0:
                 continue
             new = tuple(sorted(modes + ((k, i),)))
-            out[new] = out.get(new, 0j) + hi
+            out[new] = out.get(new, 0) + hi
         return out
     # n > 0: annihilate
     mult: Dict[int, int] = {}
@@ -99,43 +99,43 @@ def apply_mode(L: EvenLattice, h: Sequence, n: int, modes: tuple) -> Dict[tuple,
         if mode == n:
             mult[i] = mult.get(i, 0) + 1
     for i, mu in mult.items():
-        pair = complex(sum(h[a] * g[a][i] for a in range(d)))
+        pair = sum(h[a] * g[a][i] for a in range(d))
         coeff = mu * n * pair
         if coeff == 0:
             continue
         rest = list(modes)
         rest.remove((n, i))
         new = tuple(rest)
-        out[new] = out.get(new, 0j) + coeff
+        out[new] = out.get(new, 0) + coeff
     return out
 
 
 def apply_word(
     L: EvenLattice, ops: Sequence[Tuple[Sequence, int]], point: tuple, modes: tuple
-) -> Dict[tuple, complex]:
+) -> dict:
     """Apply a product of modes ops = [(h_1, n_1), ..., (h_r, n_r)] to the
     state (point, modes), rightmost operator first, returning the expanded
     combination as a modes -> coefficient map over the same point."""
-    current: Dict[tuple, complex] = {modes: 1.0 + 0j}
+    current: dict = {modes: 1}
     for h, n in reversed(list(ops)):
         if n == 0:
-            lam = complex(L.inner(h, [float(x) for x in point]))
+            lam = L.inner(h, point)
             current = {s: c * lam for s, c in current.items()} if lam != 0 else {}
             continue
-        nxt: Dict[tuple, complex] = {}
+        nxt: dict = {}
         for s, c in current.items():
             for s2, c2 in apply_mode(L, h, n, s).items():
-                nxt[s2] = nxt.get(s2, 0j) + c * c2
+                nxt[s2] = nxt.get(s2, 0) + c * c2
         current = nxt
     return current
 
 
 def diagonal_entry(
     L: EvenLattice, ops: Sequence[Tuple[Sequence, int]], point: tuple, modes: tuple
-) -> complex:
+):
     """Coefficient of the state (point, modes) in ops applied to it (one
     trace term)."""
-    return apply_word(L, ops, point, modes).get(modes, 0j)
+    return apply_word(L, ops, point, modes).get(modes, 0)
 
 
 def census_by_grade(L: EvenLattice, beta: Sequence, grade_max: int) -> dict:
@@ -198,7 +198,7 @@ def s_function_trace(
     Each entry is computed once per distinct argument: a word v1(k) v2(-k)
     with k != 0 acts on the modes tuple alone, and the zero-mode word is the
     scalar prod <v, m> on every state over m, so those entries are keyed by
-    (k, modes) and (0, m).  A reused entry is the very float it replaces,
+    (k, modes) and (0, m).  A reused entry is the very number it replaces,
     and the basis is summed in the same order.
     """
     if len(vectors) not in (1, 2):
@@ -227,10 +227,10 @@ def s_function_trace(
             memo = (k, modes) if k else (0, n)
             val = entries.get(memo)
             if val is None:
-                point = n if k else [float(b + x) for b, x in zip(beta, n)]
+                point = n if k else [b + x for b, x in zip(beta, n)]
                 val = entries[memo] = diagonal_entry(L, word, point, modes)
             if val:
-                coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
+                coeffs[k, q_key] = coeffs.get((k, q_key), 0) + val
     return BiSeries(-x_span, x_span, q_order * qden - shift, coeffs, qden)
 
 

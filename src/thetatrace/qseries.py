@@ -9,9 +9,9 @@ characters are such series.  `BiSeries` is the two-variable analogue in x and
 q used by the trace recursion, truncated in both variables.
 
 Neither container converts its coefficients: a series keeps the type it was
-built with, and sums and products start from the integers 0 and 1, so integer
-series (eta, the theta series, the characters) stay exact integer series.
-Numbers enter only through scale, and reciprocal works in floats.
+built with, and sums and products start from 0 and 1, so integer series (eta,
+the theta series, the characters) stay exact.  Numbers enter only through
+scale, and reciprocal divides with / (a Fraction series stays exact).
 
 On top of them sit the evaluators: the Dedekind eta product, the weight-two
 Eisenstein series, the two-variable kernel
@@ -19,7 +19,8 @@ Eisenstein series, the two-variable kernel
     P2(q_z, q) = (2 pi i)^2 sum_{n>=1} [ n q_z^n / (1-q^n)
                                          + n q_z^-n q^n / (1-q^n) ],
 
-the Weierstrass elliptic function P2 - G2, and the four half-characteristic
+whose window p2_series holds over (2 pi i)^2, as an int series; the
+Weierstrass elliptic function P2 - G2, and the four half-characteristic
 theta functions
 
     theta_{h,k}(z, tau) = sum_n exp(pi i (n+h)^2 tau + 2 pi i (n+h)(z+k)).
@@ -102,9 +103,9 @@ def _require_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer")
 
 
-def _require_int_horizon(value) -> None:
+def _require_int(name: str, value) -> None:
     if type(value) is not int:
-        raise ValueError(f"the trust horizon must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class TruncatedSeries(Frozen):
@@ -119,7 +120,7 @@ class TruncatedSeries(Frozen):
 
     def __init__(self, denom: int, coeffs: dict, guaranteed_order: int):
         _require_positive_int("denom", denom)
-        _require_int_horizon(guaranteed_order)
+        _require_int("the trust horizon", guaranteed_order)
         index = operator.index
         cleaned = {}
         for k, v in coeffs.items():
@@ -236,9 +237,9 @@ class TruncatedSeries(Frozen):
         order = self.guaranteed_order - k0
         if order > 10**6:
             raise CutoffTooLarge(f"reciprocal order {order} exceeds the desk-scale cap")
-        inv = {-k0: 1.0 / c0}
+        inv = {-k0: 1 / c0}
         for e in range(1, order + 1):
-            acc = 0j
+            acc = 0
             for i in range(1, e + 1):
                 ai = self.coeffs.get(k0 + i)
                 if ai is not None:
@@ -280,7 +281,9 @@ class BiSeries(Frozen):
         self, x_min: int, x_max: int, q_order: int, coeffs: Optional[dict] = None, q_denom: int = 1
     ):
         _require_positive_int("q_denom", q_denom)
-        _require_int_horizon(q_order)
+        _require_int("x_min", x_min)
+        _require_int("x_max", x_max)
+        _require_int("the trust horizon", q_order)
         index = operator.index
         cleaned = {}
         for (j, m), v in (coeffs or {}).items():
@@ -373,10 +376,10 @@ class BiSeries(Frozen):
         x_lo, x_hi = max(a.x_min, b.x_min), min(a.x_max, b.x_max)
         q_hi = min(a.q_order, b.q_order)
         keys = set(a.coeffs) | set(b.coeffs)
-        worst = 0.0
+        worst = 0
         for (j, m) in keys:
             if x_lo <= j <= x_hi and m <= q_hi:
-                d = abs(a.coeffs.get((j, m), 0j) - b.coeffs.get((j, m), 0j))
+                d = abs(a.coeffs.get((j, m), 0) - b.coeffs.get((j, m), 0))
                 if not math.isfinite(d):
                     return math.inf
                 worst = max(worst, d)
@@ -525,21 +528,21 @@ def p2_eval(z: complex, tau: complex) -> complex:
 
 
 def p2_series(x_span: int, q_order: int) -> BiSeries:
-    """Window of the kernel as a BiSeries: coefficient of x^n q^(ni) is
-    (2 pi i)^2 n for n in [1, x_span], i >= 0, and the mirror x^(-n) q^(ni)
-    for i >= 1."""
+    """Window of the kernel over (2 pi i)^2 as a BiSeries of ints: the
+    coefficient of x^n q^(ni) is n for n in [1, x_span], i >= 0, and the
+    mirror x^(-n) q^(ni) for i >= 1."""
+    _require_int("x_span", x_span)
     if x_span < 1 or q_order < 0:
         raise ValueError("need x_span >= 1 and q_order >= 0")
     if x_span * q_order > 10**7:
         raise CutoffTooLarge("requested kernel window exceeds the cap")
-    w = TWO_PI_I**2
     coeffs = {}
     for n in range(1, x_span + 1):
         i = 0
         while n * i <= q_order:
-            coeffs[(n, n * i)] = w * n
+            coeffs[(n, n * i)] = n
             if i > 0:
-                coeffs[(-n, n * i)] = w * n
+                coeffs[(-n, n * i)] = n
             i += 1
     return BiSeries(-x_span, x_span, q_order, coeffs)
 

@@ -89,9 +89,9 @@ class TracePoint(Frozen):
         object.__setattr__(self, "tau", tau)
 
 
-def state_pairing(L: EvenLattice, a: Sequence, b: Sequence) -> complex:
+def state_pairing(L: EvenLattice, a: Sequence, b: Sequence):
     """Pairing of the weight-one states labelled by lattice vectors a, b."""
-    return PAIRING_SIGN * complex(L.inner(a, b))
+    return PAIRING_SIGN * L.inner(a, b)
 
 
 def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
@@ -120,7 +120,7 @@ def _prepare(L: EvenLattice, points: Sequence[TracePoint], rtol: float) -> list:
         center = [-(tau.real * b[i].imag + a[i].imag) / tau.imag - b[i].real for i in range(d)]
         lin = [TWO_PI_I * (a[i] + tau * b[i]) for i in range(d)]
         g_lin = [sum(gij * w for gij, w in zip(row, lin)) for row in g]
-        const = (complex(L.inner(a, b)) + tau * complex(L.inner(b, b))) / 2
+        const = (L.inner(a, b) + tau * L.inner(b, b)) / 2
         coeffs = (TWO_PI_I * tau / 2, TWO_PI_I * const, lin, g_lin)
         out.append((center, 2 * margin / tau.imag, coeffs))
     return out
@@ -369,28 +369,30 @@ def moment_series(
     """sum_m prod_w <w, m> q^{<m,m>/2} over L+beta, trusted through
     q^q_order.
 
-    weights is a (possibly empty) list of complex vectors; the empty product
-    1 makes this the plain coset theta series, an int series.  The grades are the keys of
-    enumerate_vectors; terms are summed in the pairs' (sorted) order.
+    weights is a (possibly empty) list of vectors, in whose number type it is
+    computed; the empty product 1 gives the plain coset theta series, an int
+    series.  Grades are enumerate_vectors' keys, summed in the pairs' order.
     """
-    return _moments(L, beta, L.enumerate_vectors(beta, q_order), weights, q_order)
+    return _moments(L, beta, q_order, [weights])[0]
 
 
 def _moments(
-    L: EvenLattice, beta: Sequence, enumeration: tuple, weights: Sequence[Sequence], q_order: int
-) -> TruncatedSeries:
-    """moment_series over one enumeration of L + beta; a point m = beta + n
-    enters as the exactly rounded floats of its coordinates."""
-    den, pairs = enumeration
+    L: EvenLattice, beta: Sequence, q_order: int, weight_lists: Sequence[Sequence[Sequence]]
+) -> list:
+    """moment_series for each weights of weight_lists (every vector of dim
+    coordinates) from one enumeration of L + beta, points as exact Fractions."""
+    if any(len(w) != L.dim for weights in weight_lists for w in weights):
+        raise ValueError(f"weight vectors need {L.dim} coordinates")
+    den, pairs = L.enumerate_vectors(beta, q_order)
     beta = [Fraction(b) for b in beta]
-    coeffs: dict = {}
-    for n, key in pairs:
-        mf = [float(b + x) for b, x in zip(beta, n)]
-        val = 1
-        for wv in weights:
-            val *= complex(L.inner(wv, mf))
-        coeffs[key] = coeffs.get(key, 0) + val
-    return TruncatedSeries(den, coeffs, q_order * den)
+    points = [(key, [b + x for b, x in zip(beta, n)]) for n, key in pairs]
+    out = []
+    for weights in weight_lists:
+        coeffs: dict = {}
+        for key, m in points:
+            coeffs[key] = coeffs.get(key, 0) + math.prod(L.inner(w, m) for w in weights)
+        out.append(TruncatedSeries(den, coeffs, q_order * den))
+    return out
 
 
 def graded_trace_series(
@@ -412,11 +414,11 @@ def _graded_traces(
 ) -> list:
     """graded_trace_series for each weights of weight_lists, all from one
     enumeration of L + beta."""
-    enumeration = L.enumerate_vectors(beta, q_order)
+    moments = _moments(L, beta, q_order, weight_lists)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
     eta_inv = TruncatedSeries(24, {24 * n - d: c for n, c in enumerate(osc)}, 24 * q_order - d)
-    return [_moments(L, beta, enumeration, weights, q_order) * eta_inv for weights in weight_lists]
+    return [m * eta_inv for m in moments]
 
 
 def recursion_series(
@@ -438,8 +440,8 @@ def recursion_series(
         return _graded_traces(L, beta, q_order, [list(vectors)])[0]
     weighted, plain = _graded_traces(L, beta, q_order, [list(vectors), ()])
     v1, v2 = vectors
-    pairing = state_pairing(L, [-complex(x) for x in v1], v2)
-    return p2_series(x_span, q_order).scale(pairing / TWO_PI_I**2) * plain + weighted
+    pairing = state_pairing(L, [-x for x in v1], v2)
+    return p2_series(x_span, q_order).scale(pairing) * plain + weighted
 
 
 def insertion_counts_by_grade(

@@ -21,7 +21,7 @@ from thetatrace.fock import (
     s_function_trace,
     verify_trace_recursion,
 )
-from thetatrace.lattice import EvenLattice
+from thetatrace.lattice import EvenLattice, load_lattice
 from thetatrace.qseries import BiSeries
 from thetatrace.trace import colored_partition_counts, insertion_counts_by_grade, recursion_series
 
@@ -333,6 +333,32 @@ def test_recursion_enumerates_the_coset_once(monkeypatch, vectors):
     rep = recursion(A2, beta, vectors, 2, 3)
     assert rep["max_error"] < 1e-10
     assert calls == [(beta, 3)]
+
+
+D4 = EvenLattice(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+
+
+@pytest.mark.parametrize("name", ["norm4", "a2", "a3", "n10", "d4"])
+def test_integer_insertions_give_an_exact_recursion(name):
+    # both sides compute in the insertion vectors' own number type: int
+    # vectors give int and Fraction coefficients (the zero modes see the
+    # exact point beta + n), and the recursion then holds exactly
+    if name == "d4":
+        L = D4
+    else:
+        L = load_lattice(str(Path(__file__).resolve().parent.parent / "lattices" / f"{name}.json"))
+    beta = L.cosets[1]
+    v1 = tuple(range(1, L.dim + 1))
+    v2 = tuple(3 - 2 * i for i in range(L.dim))
+    for vectors in ([v1], [v1, v2]):
+        closed = recursion_series(L, beta, vectors, 2, 2)
+        literal = s_function_trace(L, beta, vectors, 2, 2)
+        for series in (closed, literal):
+            assert {type(v) for v in series.coeffs.values()} <= {int, Fraction}
+        # on a root lattice the Weyl group fixes each coset, so a one-point
+        # trace vanishes there
+        assert literal.coeffs or (L.dim > 1 and len(vectors) == 1)
+        assert verify_trace_recursion(L, beta, vectors, 2, 2, closed)["max_error"] == 0
 
 
 def test_fock_imports_nothing_from_trace():

@@ -138,6 +138,13 @@ def test_listed_involutions_are_canonical():
     assert list_involutions(3)[0] == ()
 
 
+def test_smaller_involution_lists_lie_in_the_list_of_eight():
+    # so the sign-lemma and decomposition checks walk one list, of {1..8}
+    # and of {1..6}, and still check every involution of every smaller n
+    for n in range(1, 8):
+        assert set(list_involutions(n)) <= set(list_involutions(n + 1))
+
+
 def test_involution_validation():
     for bad in (((1, 1),), ((1, 2), (2, 3))):
         with pytest.raises(ValueError):

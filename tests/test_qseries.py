@@ -64,7 +64,7 @@ def test_series_keep_the_type_of_their_coefficients():
     assert (a * b).coeffs == {-3: 3, 0: 1, 1: 15, 4: 5, 12: -2}
     assert _types(a.scale(0.5)) == {float}
     assert _types(a.scale(1j)) == {complex}
-    assert int not in _types(b.reciprocal())  # division works in floats
+    assert int not in _types(b.reciprocal())  # 1 / an int is a float
     x = BiSeries(-2, 2, 4, {(1, 0): 2, (-1, 1): -1})
     for got in (x + a, x - x.scale(2), -x, x * b, x.with_q_denom(2)):
         assert _types(got) <= {int} and got.coeffs
@@ -95,6 +95,15 @@ def test_series_reciprocal_roundtrip():
     for k, v in prod.coeffs.items():
         if k != 0:
             assert abs(v) < 1e-12
+
+
+def test_series_reciprocal_of_a_fraction_series_is_exact():
+    # 1/(3 - q/2) = (1/3) sum_k (q/6)^k, in Fractions from 1 / c0 on
+    s = TruncatedSeries(2, {0: Fraction(3), 2: Fraction(-1, 2)}, 12)
+    inv = s.reciprocal()
+    assert inv.coeffs == {2 * k: Fraction(1, 3 * 6**k) for k in range(7)}
+    assert _types(inv) == {Fraction}
+    assert (s * inv).coeffs == {0: 1}
 
 
 def test_series_reciprocal_runs_through_the_horizon():
@@ -331,27 +340,44 @@ def test_p2_eval_refuses_its_poles(z):
 
 
 def test_p2_series_window_and_coefficients():
-    w = (2j * math.pi) ** 2
+    # the window of P2/(2 pi i)^2: the coefficient of x^n q^(ni) is n
     s = p2_series(3, 6)
     assert (s.x_min, s.x_max, s.q_order, s.q_denom) == (-3, 3, 6, 1)
-    assert s.coefficient(1, 0) == w
-    assert s.coefficient(2, 0) == 2 * w
-    assert s.coefficient(2, 2) == 2 * w
-    assert s.coefficient(-2, 2) == 2 * w
-    assert s.coefficient(-1, 0) == 0j  # mirror terms start at q^n
-    assert s.coefficient(2, 1) == 0j
+    assert s.coefficient(1, 0) == 1
+    assert s.coefficient(2, 0) == 2
+    assert s.coefficient(2, 2) == 2
+    assert s.coefficient(-2, 2) == 2
+    assert s.coefficient(-1, 0) == 0  # mirror terms start at q^n
+    assert s.coefficient(2, 1) == 0
+    assert _types(s) == {int}
+    assert all(v == abs(j) and m % abs(j) == 0 for (j, m), v in s.coeffs.items())
+    assert len(s.coeffs) == sum(2 * (6 // n) + 1 for n in range(1, 4))
+
+
+@pytest.mark.parametrize("x_span", [True, 2.5, 3.0, Fraction(3)])
+def test_p2_series_refuses_a_non_int_x_span(x_span):
+    # True used to give x_max=True, 2.5 a bare TypeError
+    with pytest.raises(ValueError, match="x_span must be an int"):
+        p2_series(x_span, 3)
+
+
+@pytest.mark.parametrize("bounds", [(True, 2), (-1, 2.0), (Fraction(-1), 1), (-1.5, 1)])
+def test_biseries_refuses_non_int_x_bounds(bounds):
+    with pytest.raises(ValueError, match="x_m(in|ax) must be an int"):
+        BiSeries(*bounds, 3, {(0, 0): 1})
 
 
 def test_p2_series_evaluates_to_kernel():
     # inside the annulus, with |x| small enough that the x-window tail is
-    # negligible, the window sum reproduces the resummed evaluator
+    # negligible, (2 pi i)^2 times the window sum reproduces the resummed
+    # evaluator
     z, tau = 0.21 + 0.15j, 1.15j
     s = p2_series(60, 10)
     x = cmath.exp(2j * math.pi * z)
     window = sum(
         v * x**j * cmath.exp(2j * math.pi * tau * m / s.q_denom) for (j, m), v in s.coeffs.items()
     )
-    assert abs(window - p2_eval(z, tau)) < 1e-10
+    assert abs((2j * math.pi) ** 2 * window - p2_eval(z, tau)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,28 @@ def test_exact_builders_refuse_a_negative_cutoff(monkeypatch, build):
             build(cutoff)
 
 
+@pytest.mark.parametrize("vector", [(1.0,), (1.0, 0.5, 9.0)], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda w: moment_series(A2, A2.cosets[1], [w], 3),
+        lambda w: graded_trace_series(A2, A2.cosets[1], 3, [(1.0, 0.5), w]),
+        lambda w: recursion_series(A2, A2.cosets[1], [w], 2, 3),
+        lambda w: recursion_series(A2, A2.cosets[1], [(1.0, 0.5), w], 2, 3),
+    ],
+    ids=["moment_series", "graded_trace_series", "recursion_one", "recursion_two"],
+)
+def test_weighted_series_refuse_a_wrong_length_vector(monkeypatch, vector, build):
+    # a third coordinate used to be dropped silently, and a missing one to
+    # raise a bare IndexError; both are refused before enumerating
+    def boom(*args):
+        raise AssertionError("enumerated a wrong-length weight")
+
+    monkeypatch.setattr(EvenLattice, "enumerate_vectors", boom)
+    with pytest.raises(ValueError, match="need 2 coordinates"):
+        build(vector)
+
+
 def test_colored_partition_counts_refuse_a_negative_order():
     assert colored_partition_counts(1, 0) == [1]
     with pytest.raises(ValueError, match="nonnegative"):
