@@ -152,11 +152,12 @@ def group_census_by_phase(L: EvenLattice, beta: Sequence, census: dict, a: Seque
     """Regroup a {key: {offsets: count}} census of L + beta by zero-mode phase.
 
     For rational a the eigenvalue <a, m> of a(0) on every state over m is an
-    exact rational, so the weighted trace per grade is determined by the map
-    {<a, m> mod 1: count}.  Comparing these groupings between the literal
-    and closed-form censuses checks the zero-mode insertion exactly, with no
-    floating point.  <a, beta + n> = <a, beta> + sum_i (G a)_i n_i costs a
-    point d integer products over the common denominator of those rationals.
+    exact rational, so the phase trace tr e^{2 pi i a(0)} per grade is
+    determined by the map {<a, m> mod 1: count}, with no floating point.
+    <a, beta + n> = <a, beta> + sum_i (G a)_i n_i costs a point d integer
+    products over the common denominator of those rationals.  A regrouping
+    of the census, it adds nothing to a comparison of two equal censuses;
+    the zero mode's exact literal check is the one-insertion recursion.
     """
     a = tuple(Fraction(x) for x in a)
     base = L.inner(a, tuple(Fraction(x) for x in beta))

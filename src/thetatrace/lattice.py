@@ -111,11 +111,8 @@ class EvenLattice(Frozen):
 
     @cached_property
     def det(self) -> int:
-        # product of LDL pivots is exact
-        val = math.prod(self._ldl[0])
-        if val.denominator != 1:
-            raise ThetaTraceError(f"determinant {val} of an integer Gram matrix is not an integer")
-        return int(val)
+        # the LDL factor is unit triangular: the pivots multiply to det G, an int
+        return int(math.prod(self._ldl[0]))
 
     @cached_property
     def _scaled_completion(self):

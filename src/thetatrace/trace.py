@@ -202,7 +202,7 @@ def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], covers: list) -> lis
                 near = [x + round(y - x) - y for x, y in zip(beta_f, c)]
                 if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, c, r2)[0]:
                     raise TailBoundViolated("empty enumeration ball for the trace sum")
-        out += _gaussian_sums(L, _ball_lists(L, beta_f, cols), batch)
+        out += _gaussian_sums(_ball_lists(L, beta_f, cols), batch)
     return out
 
 
@@ -231,7 +231,7 @@ def _ball_lists(L: EvenLattice, beta_f: list, cols: list) -> tuple:
     return mm_0, g_m0, levels, list(map(at.__getitem__, half)), idx, offs, [max(ix) + 1 for ix in idx]
 
 
-def _gaussian_sums(L: EvenLattice, ball: tuple, batch: list) -> list:
+def _gaussian_sums(ball: tuple, batch: list) -> list:
     """[sum_m exp(h <m, G m> + <l, G m> + c) over the ball of _ball_lists,
     for the coefficients (h, c, l, G l) of each prepared point of batch].
 

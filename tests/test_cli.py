@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from thetatrace import cli, fock, involutions, modular, qseries
+from thetatrace import cli, fock, involutions, modular, qseries, trace
 from thetatrace.lattice import EvenLattice, load_lattice
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -141,11 +141,10 @@ LAYOUT_HEAD = [
     ("sign-lemma", 0.5),
     ("multinomial-identity", 0.5),
     ("exponential-regroup", 0.5),
-    ("recursion-one-insertion", 1e-9),
-    ("recursion-two-insertions-first-coset", 1e-9),
-    ("recursion-two-insertions-mid-coset", 1e-9),
+    ("recursion-one-insertion", 0.5),
+    ("recursion-two-insertions-first-coset", 0.5),
+    ("recursion-two-insertions-mid-coset", 0.5),
     ("fock-census", 0.5),
-    ("fock-phase-census", 0.5),
 ]
 MAIN_THEOREM_NAMES = [
     "t-phase-identity", "fit-t-diagonal", "holdout-t", "fit-s-moduli", "fit-s-oracle",
@@ -254,8 +253,68 @@ def test_npoint_builds_each_census_once(monkeypatch):
     L = load_lattice(str(LATTICE_DIR / "a2.json"))
     cfg = cli.RunConfig(lattice=L, lattice_label="a2", seed=0)
     assert cli.run_suite("npoint", cfg)["overall"] == "pass"
-    # fock-census and fock-phase-census share one census of each coset
+    # fock-census builds one census of each coset on each side
     assert sorted(built) == sorted((side, b) for side in ("fock", "closed") for b in L.cosets)
+
+
+@pytest.mark.parametrize("name", ["d4", "a2a2"])
+def test_npoint_is_exact_on_the_rank_four_lattices(name):
+    # float vectors give both two-insertion checks 1.8e-9 to 7.1e-9 here
+    L = load_lattice(str(LATTICE_DIR / f"{name}.json"))
+    rep = cli.run_suite("npoint", cli.RunConfig(lattice=L, lattice_label=name, seed=0))
+    assert rep["overall"] == "pass"
+    assert [c["max_error"] for c in rep["checks"]] == [0.0] * 4
+
+
+def _a2_config():
+    return cli.RunConfig(lattice=load_lattice(str(LATTICE_DIR / "a2.json")), lattice_label="a2")
+
+
+def test_two_insertion_checks_catch_a_flipped_pairing_sign(monkeypatch):
+    monkeypatch.setattr(trace, "PAIRING_SIGN", -trace.PAIRING_SIGN)
+    cfg = _a2_config()
+    assert cli._recursion(cfg, 2, False) > 0
+    assert cli._recursion(cfg, 2, True) > 0
+
+
+def test_one_insertion_check_catches_a_zero_mode_moved_by_a_lattice_vector(monkeypatch):
+    # only the zero-mode word v(0) sees the point; the census is untouched
+    entry = fock.diagonal_entry
+
+    def moved(L, word, point, modes):
+        if all(n == 0 for _, n in word):
+            point = [point[0] + 1, *point[1:]]
+        return entry(L, word, point, modes)
+
+    monkeypatch.setattr(fock, "diagonal_entry", moved)
+    rep = cli.run_suite("npoint", _a2_config())
+    status = {c["name"]: c["status"] for c in rep["checks"]}
+    assert status["recursion-one-insertion"] == "fail"
+    assert status["fock-census"] == "pass"
+
+
+def test_sign_lemma_check_catches_a_failure_at_three_pairs(monkeypatch):
+    lemma = involutions.verify_sign_lemma
+    monkeypatch.setattr(
+        involutions, "verify_sign_lemma", lambda pairs: len(pairs) != 3 and lemma(pairs)
+    )
+    assert cli.check_sign_lemma(_a2_config()) == 1.0
+
+
+def test_sign_lemma_check_states_each_pair_count_once(monkeypatch):
+    calls, sizes = [], []
+    lemma, decompose = involutions.verify_sign_lemma, involutions.enumerate_decompositions
+    monkeypatch.setattr(
+        involutions, "verify_sign_lemma", lambda pairs: calls.append(len(pairs)) or lemma(pairs)
+    )
+    monkeypatch.setattr(
+        involutions,
+        "enumerate_decompositions",
+        lambda pairs: sizes.append(len(decompose(pairs))) or decompose(pairs),
+    )
+    assert cli.check_sign_lemma(_a2_config()) == 0.0
+    assert calls == [1, 2, 3, 4]
+    assert sum(sizes) == 92
 
 
 def test_combinatorics_holds_no_involution_list_above_n8(monkeypatch):

@@ -412,7 +412,8 @@ def test_recursion_rejects_a_coset_outside_the_dual():
 
 def per_state_trace(L, beta, vectors, x_span, q_order):
     """s_function_trace as it was before the memo: every word of the x
-    window applied to every basis state, the q exponent taken per state."""
+    window applied to every basis state, the q exponent taken per state,
+    in the number type of the vectors."""
     if len(vectors) == 1:
         x_span = 0
         words = [(0, [(vectors[0], 0)])]
@@ -426,11 +427,11 @@ def per_state_trace(L, beta, vectors, x_span, q_order):
     coeffs: dict = {}
     for key, n, modes in basis:
         q_key = int((Fraction(key, den) - shift) * qden)
-        m = tuple(float(b + x) for b, x in zip(beta, n))
+        m = tuple(b + x for b, x in zip(beta, n))
         for k, word in words:
             val = diagonal_entry(L, word, m, modes)
             if val:
-                coeffs[k, q_key] = coeffs.get((k, q_key), 0j) + val
+                coeffs[k, q_key] = coeffs.get((k, q_key), 0) + val
     q_top = int((Fraction(q_order) - shift) * qden)
     return BiSeries(-x_span, x_span, q_top, coeffs, qden)
 
@@ -451,7 +452,7 @@ def test_memo_matches_the_per_state_loop_exactly(L, beta, n_insertions):
     assert (got.x_min, got.x_max, got.q_order, got.q_denom) == (
         want.x_min, want.x_max, want.q_order, want.q_denom
     )
-    # same floats, summed in the same order: equal, not close
+    # same numbers, summed in the same order: equal, not close
     assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 

@@ -464,14 +464,21 @@ def test_exponential_regroup_matches_fraction_oracle():
 
 def test_exponential_regroup_small():
     rep = exponential_regroup_check(3, 3)
-    assert rep["equal"] is True
-    assert rep["terms_checked"] >= 16
-    assert rep["enumerated_through"] == 12
+    assert rep == {"equal": True, "p_max": 3, "r_max": 3, "terms_checked": 16}
+
+
+def test_exponential_regroup_enumerates_nothing(monkeypatch):
+    # the closed form's agreement with enumeration is fixed-point-counts' check
+    def refuse(n, r):
+        raise AssertionError("count_with_fixed called")
+
+    monkeypatch.setattr(involutions, "count_with_fixed", refuse)
+    assert exponential_regroup_check(12, 12)["equal"] is True
 
 
 def test_exponential_regroup_beyond_enumeration():
-    # degrees with 2p + r > 12 lean on the closed form, cross-checked on
-    # the enumerable overlap
+    # every degree uses the closed form, also 2p + r > 12, which no
+    # enumeration reaches
     rep = exponential_regroup_check(8, 4)
     assert rep["equal"] is True
 
