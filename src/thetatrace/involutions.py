@@ -260,6 +260,9 @@ def exponential_regroup_check(p_max: int, r_max: int) -> dict:
     count/n! on the left receives contributions only from n = 2p + r, and
     count is the pairing count C(n,r)(2p)!/(p! 2^p), which cli's
     `fixed-point-counts` check compares with count_with_fixed for n <= 12.
+    No `verify` suite runs this: count/n! == 1/(r! p! 2^p) is the statement
+    that verify_multinomial_identity(p, r) compares, and cli's
+    `multinomial-identity` check runs it for every p, r <= 30.
     """
     if any(isinstance(b, bool) or not isinstance(b, int) for b in (p_max, r_max)):
         raise BoundTooLarge(f"regroup bounds must be ints, got {p_max!r} and {r_max!r}")

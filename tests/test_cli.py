@@ -140,7 +140,6 @@ LAYOUT_HEAD = [
     ("decomposition-products", 0.5),
     ("sign-lemma", 0.5),
     ("multinomial-identity", 0.5),
-    ("exponential-regroup", 0.5),
     ("recursion-one-insertion", 0.5),
     ("recursion-two-insertions-first-coset", 0.5),
     ("recursion-two-insertions-mid-coset", 0.5),
@@ -291,6 +290,47 @@ def test_one_insertion_check_catches_a_zero_mode_moved_by_a_lattice_vector(monke
     status = {c["name"]: c["status"] for c in rep["checks"]}
     assert status["recursion-one-insertion"] == "fail"
     assert status["fock-census"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["norm4", "n10"])
+def test_one_insertion_check_catches_a_flipped_zero_mode(monkeypatch, name):
+    # h(0) acting by -<h, m>: the two-insertion words see the product of
+    # two zero modes, and a self-negative coset's trace stays 0
+    entry = fock.diagonal_entry
+
+    def flipped(L, word, point, modes):
+        if all(n == 0 for _, n in word):
+            point = [-x for x in point]
+        return entry(L, word, point, modes)
+
+    monkeypatch.setattr(fock, "diagonal_entry", flipped)
+    L = load_lattice(str(LATTICE_DIR / f"{name}.json"))
+    assert cli._recursion(cli.RunConfig(lattice=L, lattice_label=name), 1, False) > 0
+
+
+SHIPPED = sorted(path.stem for path in LATTICE_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_insertion_vectors_see_every_basis_direction(name):
+    # a zero-mode point moved by e_j moves <v, m> by (G v)_j
+    G = load_lattice(str(LATTICE_DIR / f"{name}.json")).gram
+    for v in cli._insertion_vectors(len(G)):
+        assert all(sum(g * x for g, x in zip(row, v)) for row in G), v
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_one_insertion_trace_vanishes_where_the_check_says(name):
+    # on the cosets that are their own negatives, and on every coset of the
+    # lattices whose shells sum to 0
+    L = load_lattice(str(LATTICE_DIR / f"{name}.json"))
+    v = cli._insertion_vectors(L.dim)[:1]
+    nonzero = [
+        any(fock.s_function_trace(L, beta, v, cli.X_SPAN, cli.Q_ORDER).coeffs.values())
+        for beta in L.cosets
+    ]
+    rank_one = name in ("norm4", "n10")
+    assert nonzero == [rank_one and any((2 * x).denominator > 1 for x in b) for b in L.cosets]
 
 
 def test_sign_lemma_check_catches_a_failure_at_three_pairs(monkeypatch):

@@ -443,17 +443,28 @@ MEMO_CASES = [
 ]
 
 
+def float_vectors(dim):
+    """Float insertion vectors, whose sums depend on their order."""
+    return tuple(1.0 / (i + 1) for i in range(dim)), tuple(0.6 / (i + 1) for i in range(dim))
+
+
+# the float pair pins the order of the sums; the recursion checks' integer
+# pair pins the exact route
+VECTOR_PAIRS = (float_vectors, _insertion_vectors)
+
+
 @pytest.mark.parametrize("n_insertions", [1, 2])
 @pytest.mark.parametrize("L,beta", MEMO_CASES)
 def test_memo_matches_the_per_state_loop_exactly(L, beta, n_insertions):
-    vectors = list(_insertion_vectors(L.dim))[:n_insertions]
-    got = s_function_trace(L, beta, vectors, X_SPAN, Q_ORDER)
-    want = per_state_trace(L, beta, vectors, X_SPAN, Q_ORDER)
-    assert (got.x_min, got.x_max, got.q_order, got.q_denom) == (
-        want.x_min, want.x_max, want.q_order, want.q_denom
-    )
-    # same numbers, summed in the same order: equal, not close
-    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    for make_vectors in VECTOR_PAIRS:
+        vectors = list(make_vectors(L.dim))[:n_insertions]
+        got = s_function_trace(L, beta, vectors, X_SPAN, Q_ORDER)
+        want = per_state_trace(L, beta, vectors, X_SPAN, Q_ORDER)
+        assert (got.x_min, got.x_max, got.q_order, got.q_denom) == (
+            want.x_min, want.x_max, want.q_order, want.q_denom
+        )
+        # same numbers, summed in the same order: equal, not close
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), make_vectors
 
 
 @pytest.mark.parametrize("n_insertions", [1, 2])
@@ -480,25 +491,27 @@ def test_diagonal_entry_runs_once_per_distinct_key(monkeypatch, n_insertions):
 
 
 def test_diagonal_entries_depend_on_what_the_memo_keys():
-    """Over the whole a2 basis at Q_ORDER: a k != 0 entry is the same float
-    on every point that carries the modes tuple, and the zero-mode entry is
-    the same float on every modes tuple over the point."""
-    v1, v2 = _insertion_vectors(A2.dim)
-    for beta in A2.cosets:
-        _, basis = build_basis(A2, beta, Q_ORDER)
-        by_modes: dict = {}
-        by_point: dict = {}
-        for _, n, modes in basis:
-            m = tuple(float(b + x) for b, x in zip(beta, n))
-            for k in range(-X_SPAN, X_SPAN + 1):
-                val = diagonal_entry(A2, [(v1, k), (v2, -k)], m, modes)
-                bucket = by_modes if k else by_point
-                bucket.setdefault((k, modes) if k else m, set()).add(val)
-            by_point.setdefault(("one", m), set()).add(
-                diagonal_entry(A2, [(v1, 0)], m, modes)
-            )
-        assert all(len(vals) == 1 for vals in by_modes.values())
-        assert all(len(vals) == 1 for vals in by_point.values())
-        # the keys do merge states: the memo has work to save
-        assert len({modes for _, _, modes in basis}) < len(basis)
-        assert len({m for _, m, _ in basis}) < len(basis)
+    """Over the whole a2 basis at Q_ORDER, for float and for integer
+    vectors: a k != 0 entry is the same number on every point that carries
+    the modes tuple, and the zero-mode entry is the same number on every
+    modes tuple over the exact point that s_function_trace passes."""
+    for make_vectors in VECTOR_PAIRS:
+        v1, v2 = make_vectors(A2.dim)
+        for beta in A2.cosets:
+            _, basis = build_basis(A2, beta, Q_ORDER)
+            by_modes: dict = {}
+            by_point: dict = {}
+            for _, n, modes in basis:
+                m = tuple(b + x for b, x in zip(beta, n))
+                for k in range(-X_SPAN, X_SPAN + 1):
+                    val = diagonal_entry(A2, [(v1, k), (v2, -k)], m, modes)
+                    bucket = by_modes if k else by_point
+                    bucket.setdefault((k, modes) if k else m, set()).add(val)
+                by_point.setdefault(("one", m), set()).add(
+                    diagonal_entry(A2, [(v1, 0)], m, modes)
+                )
+            assert all(len(vals) == 1 for vals in by_modes.values())
+            assert all(len(vals) == 1 for vals in by_point.values())
+            # the keys do merge states: the memo has work to save
+            assert len({modes for _, _, modes in basis}) < len(basis)
+            assert len({m for _, m, _ in basis}) < len(basis)
