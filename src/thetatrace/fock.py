@@ -23,7 +23,6 @@ whose right-hand side is `trace.recursion_series`.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -153,25 +152,18 @@ def group_census_by_phase(L: EvenLattice, beta: Sequence, census: dict, a: Seque
 
     For rational a the eigenvalue <a, m> of a(0) on every state over m is an
     exact rational, so the phase trace tr e^{2 pi i a(0)} per grade is
-    determined by the map {<a, m> mod 1: count}, with no floating point.
-    <a, beta + n> = <a, beta> + sum_i (G a)_i n_i costs a point d integer
-    products over the common denominator of those rationals.  A regrouping
-    of the census, it adds nothing to a comparison of two equal censuses;
-    the zero mode's exact literal check is the one-insertion recursion.
+    determined by the map {<a, m> mod 1: count}, with no floating point.  A
+    regrouping of the census, it adds nothing to a comparison of two equal
+    censuses; the zero mode's exact literal check is the one-insertion
+    recursion.
     """
     a = tuple(Fraction(x) for x in a)
-    base = L.inner(a, tuple(Fraction(x) for x in beta))
-    ga = [sum(map(operator.mul, row, a)) for row in L.gram]
-    den = math.lcm(base.denominator, *(x.denominator for x in ga))
-    base, ga = int(base * den), [int(x * den) for x in ga]
-    phases: dict = {}  # offsets -> <a, m> mod 1, once per point
+    beta = tuple(Fraction(x) for x in beta)
     out: dict = {}
     for grade, bucket in census.items():
         grouped: dict = {}
         for n, count in bucket.items():
-            phase = phases.get(n)
-            if phase is None:
-                phase = phases[n] = Fraction((base + sum(map(operator.mul, ga, n))) % den, den)
+            phase = L.inner(a, [b + x for b, x in zip(beta, n)]) % 1
             grouped[phase] = grouped.get(phase, 0) + count
         out[grade] = grouped
     return out

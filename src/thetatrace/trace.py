@@ -202,57 +202,47 @@ def _lattice_sums(L: EvenLattice, beta: Sequence[Fraction], covers: list) -> lis
                 near = [x + round(y - x) - y for x, y in zip(beta_f, c)]
                 if L.norm2(near) * COVER_SLACK > r2 and not L._ball_offsets(beta, c, r2)[0]:
                     raise TailBoundViolated("empty enumeration ball for the trace sum")
-        out += _gaussian_sums(_ball_lists(L, beta_f, cols), batch)
+        out += _gaussian_sums(L, beta_f, cols, batch)
     return out
 
 
-def _ball_lists(L: EvenLattice, beta_f: list, cols: list) -> tuple:
-    """The enumerated ball as integer lists, built once for a whole batch.
+def _gaussian_sums(L: EvenLattice, beta_f: list, cols: list, batch: list) -> list:
+    """[sum_m exp(h <m, G m> + <l, G m> + c) over the enumerated ball cols
+    of L + beta, for the coefficients (h, c, l, G l) of each prepared point
+    of batch].
 
     A point of the ball is m = m_0 + y, with m_0 the coset point nearest the
     origin coordinatewise (so the exponent's parts stay as small as m) and
-    y = offs + idx integral.  Returns (<m_0, G m_0>, G m_0, levels,
-    level_idx, idx, offs, sizes): levels are the distinct integers
-    <y, G y>/2 (L is even) in increasing order and level_idx indexes each
-    point's level; idx lists each coordinate's y from its least, offs, over
-    the range sizes.
-    """
-    g = L.gram
-    shift = [round(b) for b in beta_f]
-    ys = [[n + k for n in col] for col, k in zip(cols, shift)]
-    offs = [min(y) for y in ys]
-    idx = [[v - o for v in y] for y, o in zip(ys, offs)]
-    half = L._half_norms(ys)
-    levels = sorted(set(half))
-    at = {v: i for i, v in enumerate(levels)}
-    m_0 = [b - k for b, k in zip(beta_f, shift)]
-    g_m0 = [sum(x * y for x, y in zip(row, m_0)) for row in g]
-    mm_0 = sum(x * y for x, y in zip(m_0, g_m0))
-    return mm_0, g_m0, levels, list(map(at.__getitem__, half)), idx, offs, [max(ix) + 1 for ix in idx]
-
-
-def _gaussian_sums(ball: tuple, batch: list) -> list:
-    """[sum_m exp(h <m, G m> + <l, G m> + c) over the ball of _ball_lists,
-    for the coefficients (h, c, l, G l) of each prepared point of batch].
-
-    With m = m_0 + y the exponent is k + <u, y> + 2 h <y, G y>/2, with k
-    and u once per point.  While the factors exp(k), exp(h <y, G y>) and
+    y = offs + idx integral: idx lists each coordinate's y from its least,
+    offs, over its range.  The exponent is k + <u, y> + 2 h <y, G y>/2, with
+    k and u once per point and <y, G y>/2 one of the ball's distinct integer
+    levels (L is even).  While the factors exp(k), exp(h <y, G y>) and
     exp(u_i y_i) together stay within e^FACTOR_LOG_CAP of 1, each is
     tabulated over its levels or range by cmath.exp, and a term is the
     product of d + 1 table entries, all in C-level maps; otherwise each
     term's exponent takes d + 1 list passes and cmath.exp.  What depends
-    only on the ball, its index getters, ranges and spans, is built once
-    for the whole batch.
+    only on the ball, its integer lists, index getters, ranges and spans,
+    is built once for the whole batch.
     """
-    mm_0, g_m0, levels, level_idx, idx, offs, sizes = ball
+    shift = [round(b) for b in beta_f]
+    ys = [[n + k for n in col] for col, k in zip(cols, shift)]
+    offs = [min(y) for y in ys]
+    idx = [[v - o for v in y] for y, o in zip(ys, offs)]
+    ranges = [range(o, max(y) + 1) for y, o in zip(ys, offs)]
+    spans = [max(abs(r[0]), abs(r[-1])) for r in ranges]
+    half = L._half_norms(ys)
+    levels = sorted(set(half))
+    at = {v: i for i, v in enumerate(levels)}
+    level_idx = list(map(at.__getitem__, half))
+    m_0 = [b - k for b, k in zip(beta_f, shift)]
+    g_m0 = [sum(x * y for x, y in zip(row, m_0)) for row in L.gram]
+    mm_0 = sum(x * y for x, y in zip(m_0, g_m0))
     if len(level_idx) > 1:
         level_get, *gets = [itemgetter(*ix) for ix in (level_idx, *idx)]
     else:
         # itemgetter of one index returns the item, not a 1-tuple; the
         # tables of a one-point ball hold just its entry
         level_get, *gets = [tuple] * (len(idx) + 1)
-    ranges = [range(o, o + n) for o, n in zip(offs, sizes)]
-    spans = [max(abs(o), abs(o + n - 1)) for o, n in zip(offs, sizes)]
     sums = []
     for _, _, (h, c, lin, g_lin) in batch:
         try:
@@ -265,8 +255,8 @@ def _gaussian_sums(ball: tuple, batch: list) -> list:
             )
             if reach <= FACTOR_LOG_CAP:
                 terms = level_get(list(map(cmath.exp, quad)))
-                for uj, ys, get in zip(u, ranges, gets):
-                    terms = map(mul, terms, get(list(map(cmath.exp, map(uj.__mul__, ys)))))
+                for uj, r, get in zip(u, ranges, gets):
+                    terms = map(mul, terms, get(list(map(cmath.exp, map(uj.__mul__, r)))))
                 acc = cmath.exp(k) * sum(terms)
             else:
                 k += sum(uj * o for uj, o in zip(u, offs))

@@ -146,17 +146,17 @@ LAYOUT_HEAD = [
     ("fock-census", 0.5),
 ]
 MAIN_THEOREM_NAMES = [
-    "t-phase-identity", "fit-t-diagonal", "holdout-t", "fit-s-moduli", "fit-s-oracle",
+    "t-phase-identity", "fit-t-diagonal", "holdout-t", "fit-s-oracle",
     "holdout-s", "fit-identity", "cocycle-st", "cocycle-ts", "cocycle-ss",
     "random-words-holdout", "word-decomposition-roundtrip",
 ]
 # the built-in norm-4 Gram gets the sharp main-theorem tolerances, also
 # when it is read from a file; any other Gram raises them to 1e-7
-SHARP_TOLS = [1e-12, 1e-10, 1e-10, 1e-8, 1e-8, 1e-8, 1e-10, 1e-7, 1e-7, 1e-7, 1e-7, 0.5]
+SHARP_TOLS = [1e-12, 1e-10, 1e-10, 1e-8, 1e-8, 1e-10, 1e-7, 1e-7, 1e-7, 1e-7, 0.5]
 # case -> (lattice file or None for the built-in one, main-theorem tolerances)
 LAYOUT_CASES = {
     "norm4": (None, SHARP_TOLS),
-    "a2": ("a2.json", [1e-7] * 11 + [0.5]),
+    "a2": ("a2.json", [1e-7] * 10 + [0.5]),
     "norm4.json": ("norm4.json", SHARP_TOLS),
 }
 
@@ -227,6 +227,29 @@ def test_main_theorem_fits_each_alpha_once(monkeypatch):
     # holdout-t, holdout-s and the five random words
     assert len(holdouts) == 7
     assert holdouts[:2] == [modular.T, modular.S]
+
+
+@pytest.mark.parametrize("path", [None, "a2.json"], ids=["norm4", "a2"])
+def test_s_oracle_check_catches_a_fit_off_in_modulus(monkeypatch, path):
+    # A(S) scaled by 1 + 1e-6 moves every |entry| off |L*/L|^(-1/2), and
+    # each entry of the oracle has that modulus: |A - P| >= ||A| - |P||
+    modular.fit_alpha.cache_clear()
+    fit = modular.fit_alpha
+
+    def scaled(L, alpha, seed):
+        a, residual = fit(L, alpha, seed)
+        if alpha == modular.S:
+            a = tuple(tuple(x * (1 + 1e-6) for x in row) for row in a)
+        return a, residual
+
+    monkeypatch.setattr(modular, "fit_alpha", scaled)
+    if path:
+        L = load_lattice(str(LATTICE_DIR / path))
+    else:
+        L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
+    rep = cli.run_suite("main-theorem", cli.RunConfig(lattice=L, lattice_label=L.name))
+    row = next(c for c in rep["checks"] if c["name"] == "fit-s-oracle")
+    assert row["status"] == "fail" and row["max_error"] > row["tolerance"]
 
 
 def test_npoint_builds_each_fock_basis_once():

@@ -211,6 +211,27 @@ def test_phase_census_grouping():
             assert grouped[grade][phase] >= count
 
 
+@pytest.mark.parametrize("coset", range(len(A2.cosets)))
+def test_phase_census_matches_the_integer_route_on_a2(coset):
+    # oracle: <a, beta> and G a over their common denominator, so that each
+    # point's phase takes d integer products
+    beta = A2.cosets[coset]
+    a = (Fraction(1, 3), Fraction(1, 2))
+    base = A2.inner(a, beta)
+    ga = [sum(g * x for g, x in zip(row, a)) for row in A2.gram]
+    den = math.lcm(base.denominator, *(x.denominator for x in ga))
+    base, ga = int(base * den), [int(x * den) for x in ga]
+    census = census_by_grade(A2, beta, 6)
+    want: dict = {}
+    for grade, bucket in census.items():
+        grouped = want[grade] = {}
+        for n, count in bucket.items():
+            phase = Fraction((base + sum(g * x for g, x in zip(ga, n))) % den, den)
+            grouped[phase] = grouped.get(phase, 0) + count
+    assert any(len(grouped) > 1 for grouped in want.values())
+    assert group_census_by_phase(A2, beta, census, a) == want
+
+
 # ---------------------------------------------------------------------------
 # literal two-variable traces
 # ---------------------------------------------------------------------------
@@ -467,9 +488,13 @@ def test_memo_matches_the_per_state_loop_exactly(L, beta, n_insertions):
         assert list(got.coeffs.items()) == list(want.coeffs.items()), make_vectors
 
 
-@pytest.mark.parametrize("n_insertions", [1, 2])
-def test_diagonal_entry_runs_once_per_distinct_key(monkeypatch, n_insertions):
-    beta = A2.cosets[0]
+@pytest.mark.parametrize(
+    "n_insertions,coset", [(1, 0), (2, 0), (1, 1), (2, 1)], ids=["1", "2", "1-coset1", "2-coset1"]
+)
+def test_diagonal_entry_runs_once_per_distinct_key(monkeypatch, n_insertions, coset):
+    # the zero-mode keys are the exact points b + x that s_function_trace
+    # passes; on the integral coset 0 a float key would compare equal too
+    beta = A2.cosets[coset]
     calls = Counter()
     entry = fock.diagonal_entry
 
@@ -484,7 +509,7 @@ def test_diagonal_entry_runs_once_per_distinct_key(monkeypatch, n_insertions):
     _, basis = build_basis(A2, beta, Q_ORDER)
     ks = range(-X_SPAN, X_SPAN + 1) if n_insertions == 2 else [0]
     want = {(k, modes) for k in ks if k for _, _, modes in basis}
-    want |= {(0, tuple(float(b + x) for b, x in zip(beta, n))) for _, n, _ in basis}
+    want |= {(0, tuple(b + x for b, x in zip(beta, n))) for _, n, _ in basis}
     assert set(calls) == want
     assert set(calls.values()) == {1}
     assert sum(calls.values()) < len(basis) * len(ks)
