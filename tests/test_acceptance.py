@@ -106,8 +106,7 @@ def test_c04_two_insertion_recursion():
     worst = 0.0
     for beta in [(Fraction(0),), (Fraction(1, 2),)]:
         closed = recursion_series(L4, beta, [v1, v2], 4, 6)
-        rep = verify_trace_recursion(L4, beta, [v1, v2], 4, 6, closed)
-        worst = max(worst, rep["max_error"])
+        worst = max(worst, verify_trace_recursion(L4, beta, [v1, v2], 4, 6, closed))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 60.0
@@ -145,16 +144,15 @@ def test_c06_t_shift_phase_builtin():
 def test_c07_s_transition_norm4():
     """The S transition matrix fitted from 8 samples validates on 20 held-out
     points < 1e-8, and every entry has modulus 1/2 within 1e-8."""
-    fitted = fit_transition(L4, S, adapted_samples(S, 1, 8, seed=0))
-    rep = verify_relation(L4, S, adapted_samples(S, 1, 20, seed=10**6), fitted)
-    assert rep["max_error"] < 1e-8
-    a, _ = fitted
+    a, _ = fit_transition(L4, S, adapted_samples(S, 1, 8, seed=0))
+    holdout = verify_relation(L4, S, adapted_samples(S, 1, 20, seed=10**6), a)
+    assert holdout < 1e-8
     moduli_gap = float(np.max(np.abs(np.abs(a) - 0.5)))
     assert moduli_gap < 1e-8
     gauss_gap = float(np.max(np.abs(np.subtract(a, s_matrix_prediction(L4)))))
     assert gauss_gap < 1e-8
     print(
-        f"c07 S transition: holdout={rep['max_error']:.3e} moduli gap={moduli_gap:.1e} "
+        f"c07 S transition: holdout={holdout:.3e} moduli gap={moduli_gap:.1e} "
         f"gauss gap={gauss_gap:.1e} tol=1e-8 PASS"
     )
 
@@ -166,13 +164,11 @@ def test_c08_random_words_and_cocycle():
     worst_word = 0.0
     for i, word in enumerate(random_words(5, 6, seed=19)):
         alpha = word_to_matrix(word)
-        _, rep = fit_and_verify(L4, alpha, seed=23 + i)
-        worst_word = max(worst_word, rep["max_error"])
+        worst_word = max(worst_word, fit_and_verify(L4, alpha, seed=23 + i)[2])
     assert worst_word < 1e-7
     worst_cocycle = 0.0
     for a, b in [(S, T), (T, S), (S, S)]:
-        rep = verify_cocycle(L4, a, b, seed=17)
-        worst_cocycle = max(worst_cocycle, rep["max_error"])
+        worst_cocycle = max(worst_cocycle, verify_cocycle(L4, a, b, seed=17))
     assert worst_cocycle < 1e-7
     print(
         f"c08 words and cocycle: word holdout={worst_word:.3e} "
@@ -201,8 +197,8 @@ def test_c09_rank_two_lattice_and_suite_runtime():
     five minutes.  Defined last so the wall-clock covers every criterion."""
     err_t = cli.check_t_phase(CFGA2)
     assert err_t < 1e-7
-    a, rep = fit_and_verify(A2, S, seed=0)
-    assert rep["max_error"] < 1e-7
+    a, _, holdout = fit_and_verify(A2, S, seed=0)
+    assert holdout < 1e-7
     moduli_gap = float(np.max(np.abs(np.abs(a) - 1 / math.sqrt(3))))
     assert moduli_gap < 1e-7
     gauss_gap = float(np.max(np.abs(np.subtract(a, s_matrix_prediction(A2)))))
@@ -210,6 +206,6 @@ def test_c09_rank_two_lattice_and_suite_runtime():
     elapsed = time.perf_counter() - _T0
     assert elapsed < 300.0
     print(
-        f"c09 rank-two lattice: t-phase={err_t:.3e} S holdout={rep['max_error']:.3e} "
+        f"c09 rank-two lattice: t-phase={err_t:.3e} S holdout={holdout:.3e} "
         f"moduli gap={moduli_gap:.1e} tol=1e-7; suite {elapsed:.0f}s < 300s PASS"
     )

@@ -2,6 +2,7 @@ import cmath
 import copy
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -229,6 +230,19 @@ def test_main_theorem_fits_each_alpha_once(monkeypatch):
     assert holdouts[:2] == [modular.T, modular.S]
 
 
+def test_word_roundtrip_row_reports_a_failed_reconstruction(monkeypatch):
+    # decompose_ST compares its word with ±alpha itself and raises; the row
+    # reports that error
+    monkeypatch.setitem(modular._TOKENS, "T", modular.T * modular.T)
+    rows = {name: (fn, tol) for name, fn, tol in cli.SUITE_CHECKS["main-theorem"]}
+    fn, tol = rows["word-decomposition-roundtrip"]
+    L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
+    cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
+    row = cli._run_check("word-decomposition-roundtrip", fn, tol, cfg)
+    assert row["status"] == "fail" and row["max_error"] == math.inf
+    assert row["error"].startswith("ThetaTraceError: reconstruction failed")
+
+
 @pytest.mark.parametrize("path", [None, "a2.json"], ids=["norm4", "a2"])
 def test_s_oracle_check_catches_a_fit_off_in_modulus(monkeypatch, path):
     # A(S) scaled by 1 + 1e-6 moves every |entry| off |L*/L|^(-1/2), and
@@ -257,9 +271,9 @@ def test_npoint_builds_each_fock_basis_once():
     L = load_lattice(str(LATTICE_DIR / "a2.json"))
     cfg = cli.RunConfig(lattice=L, lattice_label="a2", seed=0)
     assert cli.run_suite("npoint", cfg)["overall"] == "pass"
-    # three recursion checks (two lookups each) and one census per coset
+    # three recursion checks and one census per coset, one lookup each
     info = fock.build_basis.cache_info()
-    assert (info.misses, info.hits) == (3, 6)
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_npoint_builds_each_census_once(monkeypatch):
@@ -468,6 +482,7 @@ def test_fit_s_norm4(capsys):
     assert rep["cosets"] == [["0"], ["1/4"], ["1/2"], ["3/4"]]
     assert rep["fit_residual"] < 1e-10
     assert rep["holdout_max_error"] < 1e-8
+    assert rep["n_holdout"] == 20
     for row in rep["matrix"]:
         for re, im in row:
             assert abs(complex(re, im)) == pytest.approx(0.5, abs=1e-8)

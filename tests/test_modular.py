@@ -196,15 +196,14 @@ def test_fit_rejects_degenerate_samples():
 
 
 def test_fitted_s_matches_gauss_sum_norm4():
-    a, rep = fit_and_verify(L4, S, seed=0)
+    a, _, holdout = fit_and_verify(L4, S, seed=0)
     gap = np.max(np.abs(np.subtract(a, s_matrix_prediction(L4))))
     assert gap < 1e-10
-    assert rep["max_error"] < 1e-10
-    assert rep["n_points"] == 20
+    assert holdout < 1e-10
 
 
 def test_fitted_t_is_diagonal_of_phases():
-    a, rep = fit_and_verify(L4, T, seed=1)
+    a, _, _ = fit_and_verify(L4, T, seed=1)
     gap = np.max(np.abs(np.subtract(a, t_matrix_prediction(L4))))
     assert gap < 1e-10
     diag = np.diag(a)
@@ -213,33 +212,33 @@ def test_fitted_t_is_diagonal_of_phases():
 
 
 def test_fitted_s_matches_gauss_sum_a2():
-    a, _ = fit_and_verify(A2, S, seed=2)
+    a, _, _ = fit_and_verify(A2, S, seed=2)
     gap = np.max(np.abs(np.subtract(a, s_matrix_prediction(A2))))
     assert gap < 1e-9
 
 
-def test_verify_relation_reports_shape():
-    fitted = fit_alpha(L4, S, 0)
-    rep = verify_relation(L4, S, adapted_samples(S, 1, 5, seed=99), fitted)
-    assert set(rep) == {"max_error", "n_points", "fit_residual", "alpha"}
-    assert rep["fit_residual"] == fitted[1]
-    assert rep["n_points"] == 5
-    assert rep["alpha"] == [0, -1, 1, 0]
+def test_verify_relation_returns_the_holdout_gap():
+    a = fit_alpha(L4, S, 0)[0]
+    gap = verify_relation(L4, S, adapted_samples(S, 1, 5, seed=99), a)
+    assert type(gap) is float and gap < 1e-10
+    # the holdout of fit_and_verify is N_HOLDOUT points at seed + 10**6
+    holdout = adapted_samples(S, 1, modular.N_HOLDOUT, seed=10**6)
+    want = (a, fit_alpha(L4, S, 0)[1], verify_relation(L4, S, holdout, a))
+    assert fit_and_verify(L4, S, seed=0) == want
 
 
 def test_cocycle_st():
-    rep = verify_cocycle(L4, S, T, seed=5)
-    assert rep["max_error"] < 1e-10
+    assert verify_cocycle(L4, S, T, seed=5) < 1e-10
 
 
 def test_word_transition_matches_generator_product():
     # fit the word directly, then multiply the generator fits in word order
     word = ["T", "S", "T"]
     alpha = word_to_matrix(word)
-    fit_word, rep = fit_and_verify(L4, alpha, seed=7)
-    assert rep["max_error"] < 1e-9
-    fit_t, _ = fit_and_verify(L4, T, seed=8)
-    fit_s, _ = fit_and_verify(L4, S, seed=9)
+    fit_word, _, holdout = fit_and_verify(L4, alpha, seed=7)
+    assert holdout < 1e-9
+    fit_t = fit_and_verify(L4, T, seed=8)[0]
+    fit_s = fit_and_verify(L4, S, seed=9)[0]
     prod = np.array(fit_t) @ fit_s @ fit_t
     assert np.max(np.abs(fit_word - prod)) < 1e-9
 
@@ -252,7 +251,7 @@ def test_fitted_matrix_is_read_only():
     assert all(type(x) is complex for row in a for x in row) and [len(row) for row in a] == [4] * 4
     with pytest.raises(TypeError):
         a[0][0] = 0
-    shared, _ = fit_and_verify(L4, S, seed=0)
+    shared = fit_and_verify(L4, S, seed=0)[0]
     assert type(shared) is tuple and all(type(row) is tuple for row in shared)
     with pytest.raises(TypeError):
         shared[0] = ()
