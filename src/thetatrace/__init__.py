@@ -15,7 +15,10 @@ Layers, bottom up:
   trace recursion
 - modular: SL2(Z) actions, generator decomposition, and least-squares
   fitting of the transition matrices between transformed trace families
-- cli: JSON-reporting verification harness
+- checks: every identity of `verify` as a named check, and SUITE_CHECKS,
+  the table of suites; imports nothing from cli
+- cli: JSON-reporting verification harness; it loads fock, involutions and
+  checks lazily, so a fit or an expand compiles none of them
 """
 
 from .errors import ThetaTraceError

@@ -192,7 +192,9 @@ def s_function_trace(
     with k != 0 acts on the modes tuple alone, and the zero-mode word is the
     scalar prod <v, m> on every state over m, so those entries are keyed by
     (k, modes) and (0, m).  A reused entry is the very number it replaces,
-    and the basis is summed in the same order.
+    and the basis is summed in the same order.  An integral Fraction entry,
+    such as <v, m> for an integer v, is kept as its int numerator, so the
+    sums of integer vectors run in ints.
     """
     if len(vectors) not in (1, 2):
         raise ValueError("only one or two insertion vectors are supported")
@@ -221,7 +223,10 @@ def s_function_trace(
             val = entries.get(memo)
             if val is None:
                 point = n if k else [b + x for b, x in zip(beta, n)]
-                val = entries[memo] = diagonal_entry(L, word, point, modes)
+                val = diagonal_entry(L, word, point, modes)
+                if type(val) is Fraction and val.denominator == 1:
+                    val = val.numerator  # an integral entry sums as an int
+                entries[memo] = val
             if val:
                 coeffs[k, q_key] = coeffs.get((k, q_key), 0) + val
     return BiSeries(-x_span, x_span, q_order * qden - shift, coeffs, qden)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from thetatrace import cli
+from thetatrace import checks, cli
 from thetatrace.fock import census_by_grade, group_census_by_phase, verify_trace_recursion
 from thetatrace.involutions import (
     closed_form_fixed_count,
@@ -46,7 +46,7 @@ HALF = Fraction(1, 2)
 
 CFG4 = cli.RunConfig(lattice=L4, lattice_label="builtin-norm4")
 CFGA2 = cli.RunConfig(lattice=A2, lattice_label="a2")
-CHECKS = {name: check for rows in cli.SUITE_CHECKS.values() for name, check, _ in rows}
+CHECKS = {name: check for rows in checks.SUITE_CHECKS.values() for name, check, _ in rows}
 
 
 def test_c01_classical_theta_inversion_table():
@@ -65,9 +65,9 @@ def test_c02_kernel_eisenstein_weierstrass_laws():
     two (G2 and the kernel with the f(f tau + d) anomaly) under S, T, TST,
     max error < 1e-9; G2(i) = pi to 1e-12."""
     errs = {
-        "g2": cli.check_g2_law(CFG4),
-        "weierstrass": cli.check_weierstrass_law(CFG4),
-        "kernel": cli.check_p2_law(CFG4),
+        "g2": checks.check_g2_law(CFG4),
+        "weierstrass": checks.check_weierstrass_law(CFG4),
+        "kernel": checks.check_p2_law(CFG4),
     }
     g2_gap = abs(g2_eval(1j) - math.pi)
     for name, err in errs.items():
@@ -136,7 +136,7 @@ def test_c05_pairing_combinatorics_exact():
 def test_c06_t_shift_phase_builtin():
     """tau -> tau+1 is the predicted diagonal phase on every norm-4 coset,
     max error < 1e-12 over 20 seeded points."""
-    err = cli.check_t_phase(CFG4)
+    err = checks.check_t_phase(CFG4)
     assert err < 1e-12
     print(f"c06 t-shift phase: max_error={err:.3e} tol=1e-12 PASS")
 
@@ -195,7 +195,7 @@ def test_c09_rank_two_lattice_and_suite_runtime():
     """The t-shift phase and fitted S matrix hold on the rank-two hexagonal
     lattice within 1e-7, and the whole acceptance suite finishes in under
     five minutes.  Defined last so the wall-clock covers every criterion."""
-    err_t = cli.check_t_phase(CFGA2)
+    err_t = checks.check_t_phase(CFGA2)
     assert err_t < 1e-7
     a, _, holdout = fit_and_verify(A2, S, seed=0)
     assert holdout < 1e-7

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import copy
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from thetatrace import cli, fock, involutions, modular, qseries, trace
+from thetatrace import checks, cli, fock, involutions, modular, qseries, trace
 from thetatrace.lattice import EvenLattice, load_lattice
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -68,7 +69,7 @@ def test_verify_special_functions_redraws_taus_below_floor(capsys):
     # 0.247, below the floor, which the law's sampler redraws
     seed = 340
     assert any(
-        cli._sample_taus(seed + k, n, for_laws=True) != cli._sample_taus(seed + k, n)
+        checks._sample_taus(seed + k, n, for_laws=True) != checks._sample_taus(seed + k, n)
         for k, n in ((4, 8), (6, 6), (8, 6))
     ), "no law tau is redrawn at this seed"
     code, rep = report_of(["verify", "special-functions", "--seed", str(seed)], capsys)
@@ -100,16 +101,16 @@ def test_random_words_holdout_runs_each_distinct_matrix_once(monkeypatch):
     mats = [modular.word_to_matrix(w) for w in modular.random_words(5, 6, seed + 19)]
     assert len(set(mats)) == 3
     L = EvenLattice(((4,),))
-    want = max(cli._holdout(L, m, seed + 23) for m in mats)
+    want = max(checks._holdout(L, m, seed + 23) for m in mats)
     held = []
-    holdout = cli._holdout
+    holdout = checks._holdout
 
     def counted(L, alpha, seed):
         held.append(alpha)
         return holdout(L, alpha, seed)
 
-    monkeypatch.setattr(cli, "_holdout", counted)
-    assert cli.check_random_words(cli.RunConfig(L, "norm4", seed)) == want
+    monkeypatch.setattr(checks, "_holdout", counted)
+    assert checks.check_random_words(cli.RunConfig(L, "norm4", seed)) == want
     assert held == list(dict.fromkeys(mats))
 
 
@@ -196,13 +197,13 @@ def test_p2_annulus_check_catches_a_kernel_that_is_not_tau_periodic(monkeypatch)
         w = cmath.exp(2j * cmath.pi * (tau - z))
         return kernel(z, tau) - (2j * cmath.pi) ** 2 * w / (1 - w) ** 2
 
-    monkeypatch.setattr(cli, "p2_eval", mutated)
+    monkeypatch.setattr(checks, "p2_eval", mutated)
     monkeypatch.setattr(qseries, "p2_eval", mutated)
     L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
     tol = dict(LAYOUT_HEAD)["p2-annulus-consistency"]
     for seed in range(3):
         cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=seed)
-        assert cli.check_p2_annulus(cfg) > tol
+        assert checks.check_p2_annulus(cfg) > tol
 
 
 def test_main_theorem_fits_each_alpha_once(monkeypatch):
@@ -234,7 +235,7 @@ def test_word_roundtrip_row_reports_a_failed_reconstruction(monkeypatch):
     # decompose_ST compares its word with ±alpha itself and raises; the row
     # reports that error
     monkeypatch.setitem(modular._TOKENS, "T", modular.T * modular.T)
-    rows = {name: (fn, tol) for name, fn, tol in cli.SUITE_CHECKS["main-theorem"]}
+    rows = {name: (fn, tol) for name, fn, tol in checks.SUITE_CHECKS["main-theorem"]}
     fn, tol = rows["word-decomposition-roundtrip"]
     L = EvenLattice(cli.DEFAULT_GRAM, name=cli.DEFAULT_LABEL)
     cfg = cli.RunConfig(lattice=L, lattice_label=cli.DEFAULT_LABEL, seed=0)
@@ -284,7 +285,7 @@ def test_npoint_builds_each_census_once(monkeypatch):
 
     monkeypatch.setattr(fock, "census_by_grade", counting("fock", fock.census_by_grade))
     monkeypatch.setattr(
-        cli, "insertion_counts_by_grade", counting("closed", cli.insertion_counts_by_grade)
+        checks, "insertion_counts_by_grade", counting("closed", checks.insertion_counts_by_grade)
     )
     L = load_lattice(str(LATTICE_DIR / "a2.json"))
     cfg = cli.RunConfig(lattice=L, lattice_label="a2", seed=0)
@@ -309,8 +310,8 @@ def _a2_config():
 def test_two_insertion_checks_catch_a_flipped_pairing_sign(monkeypatch):
     monkeypatch.setattr(trace, "PAIRING_SIGN", -trace.PAIRING_SIGN)
     cfg = _a2_config()
-    assert cli._recursion(cfg, 2, False) > 0
-    assert cli._recursion(cfg, 2, True) > 0
+    assert checks._recursion(cfg, 2, False) > 0
+    assert checks._recursion(cfg, 2, True) > 0
 
 
 def test_one_insertion_check_catches_a_zero_mode_moved_by_a_lattice_vector(monkeypatch):
@@ -342,7 +343,7 @@ def test_one_insertion_check_catches_a_flipped_zero_mode(monkeypatch, name):
 
     monkeypatch.setattr(fock, "diagonal_entry", flipped)
     L = load_lattice(str(LATTICE_DIR / f"{name}.json"))
-    assert cli._recursion(cli.RunConfig(lattice=L, lattice_label=name), 1, False) > 0
+    assert checks._recursion(cli.RunConfig(lattice=L, lattice_label=name), 1, False) > 0
 
 
 SHIPPED = sorted(path.stem for path in LATTICE_DIR.glob("*.json"))
@@ -352,7 +353,7 @@ SHIPPED = sorted(path.stem for path in LATTICE_DIR.glob("*.json"))
 def test_insertion_vectors_see_every_basis_direction(name):
     # a zero-mode point moved by e_j moves <v, m> by (G v)_j
     G = load_lattice(str(LATTICE_DIR / f"{name}.json")).gram
-    for v in cli._insertion_vectors(len(G)):
+    for v in checks._insertion_vectors(len(G)):
         assert all(sum(g * x for g, x in zip(row, v)) for row in G), v
 
 
@@ -361,9 +362,9 @@ def test_one_insertion_trace_vanishes_where_the_check_says(name):
     # on the cosets that are their own negatives, and on every coset of the
     # lattices whose shells sum to 0
     L = load_lattice(str(LATTICE_DIR / f"{name}.json"))
-    v = cli._insertion_vectors(L.dim)[:1]
+    v = checks._insertion_vectors(L.dim)[:1]
     nonzero = [
-        any(fock.s_function_trace(L, beta, v, cli.X_SPAN, cli.Q_ORDER).coeffs.values())
+        any(fock.s_function_trace(L, beta, v, checks.X_SPAN, checks.Q_ORDER).coeffs.values())
         for beta in L.cosets
     ]
     rank_one = name in ("norm4", "n10")
@@ -375,7 +376,7 @@ def test_sign_lemma_check_catches_a_failure_at_three_pairs(monkeypatch):
     monkeypatch.setattr(
         involutions, "verify_sign_lemma", lambda pairs: len(pairs) != 3 and lemma(pairs)
     )
-    assert cli.check_sign_lemma(_a2_config()) == 1.0
+    assert checks.check_sign_lemma(_a2_config()) == 1.0
 
 
 def test_sign_lemma_check_states_each_pair_count_once(monkeypatch):
@@ -389,7 +390,7 @@ def test_sign_lemma_check_states_each_pair_count_once(monkeypatch):
         "enumerate_decompositions",
         lambda pairs: sizes.append(len(decompose(pairs))) or decompose(pairs),
     )
-    assert cli.check_sign_lemma(_a2_config()) == 0.0
+    assert checks.check_sign_lemma(_a2_config()) == 0.0
     assert calls == [1, 2, 3, 4]
     assert sum(sizes) == 92
 
@@ -795,18 +796,20 @@ def _run_script(script: str):
 
 def test_fock_and_involutions_load_on_first_use():
     # type() and not attribute access, which would load the module: a fit
-    # and an expand leave both layers unexecuted, and the combinatorics and
-    # npoint suites execute them
+    # and an expand leave all three lazy layers unexecuted, main-theorem
+    # executes checks alone, and the combinatorics and npoint suites execute
+    # fock and involutions
     script = (
         "import contextlib, io, json, sys, types\n"
         "from thetatrace import cli\n"
         "def loaded():\n"
         "    return [type(sys.modules['thetatrace.' + n]) is types.ModuleType\n"
-        "            for n in ('fock', 'involutions')]\n"
+        "            for n in ('fock', 'involutions', 'checks')]\n"
         "codes, states = [], []\n"
         "for group in ([['fit', '--alpha', '0,-1,1,0', '--lattice', 'lattices/a2.json'],\n"
         "               ['expand', '--what', 'theta-series', '--coset', '1',\n"
         "                '--lattice', 'lattices/a2.json']],\n"
+        "              [['verify', 'main-theorem']],\n"
         "              [['verify', 'combinatorics'],\n"
         "               ['verify', 'npoint', '--lattice', 'lattices/a2.json']]):\n"
         "    for args in group:\n"
@@ -815,26 +818,72 @@ def test_fock_and_involutions_load_on_first_use():
         "    states.append(loaded())\n"
         "print(json.dumps([codes, states]))\n"
     )
-    assert _run_script(script) == [[0, 0, 0, 0], [[False, False], [True, True]]]
+    assert _run_script(script) == [
+        [0, 0, 0, 0, 0],
+        [[False, False, False], [False, False, True], [True, True, True]],
+    ]
 
 
 @pytest.mark.parametrize("cli_first", [True, False], ids=["cli-first", "layer-first"])
 def test_lazy_layers_are_the_modules_imported_by_name(cli_first):
     # one module object per layer, so one build_basis lru_cache, whichever of
-    # thetatrace.cli and the layer is imported first
-    imports = ["from thetatrace import cli", "import thetatrace.fock, thetatrace.involutions"]
+    # thetatrace.cli and the layer is imported first; cli.SUITE_CHECKS is the
+    # table of checks, whose keys cli.SUITES spells out
+    imports = [
+        "from thetatrace import cli",
+        "import thetatrace.fock, thetatrace.involutions, thetatrace.checks",
+    ]
     script = (
         "import json, sys\n"
         + "\n".join(imports if cli_first else imports[::-1]) + "\n"
         "import thetatrace\n"
-        "from thetatrace import fock, involutions\n"
+        "from thetatrace import checks, fock, involutions\n"
         "print(json.dumps([\n"
         "    fock is cli.fock is thetatrace.fock is sys.modules['thetatrace.fock'],\n"
         "    involutions is cli.involutions is sys.modules['thetatrace.involutions'],\n"
+        "    checks is cli.checks is thetatrace.checks is sys.modules['thetatrace.checks'],\n"
         "    cli.fock.build_basis is fock.build_basis,\n"
+        "    checks.fock is fock and checks.involutions is involutions,\n"
+        "    cli.SUITE_CHECKS is checks.SUITE_CHECKS,\n"
+        "    cli.SUITES == tuple(checks.SUITE_CHECKS),\n"
         "]))\n"
     )
-    assert _run_script(script) == [True, True, True]
+    assert _run_script(script) == [True] * 7
+
+
+def test_checks_imports_nothing_from_cli():
+    # under python -m thetatrace.cli the CLI is __main__, so an import of
+    # thetatrace.cli would run the CLI a second time, with a second
+    # RunConfig class; only the source can show this
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.split(".")[-1] == "cli"}
+    assert imported >= {"fock", "involutions"}
+
+
+def test_python_m_cli_leaves_no_second_cli_module():
+    # runpy runs the module as python -m does, as __main__; the check layer
+    # runs, and thetatrace.cli is never imported
+    script = (
+        "import contextlib, io, json, runpy, sys, types\n"
+        "sys.argv = ['thetatrace', 'verify', 'special-functions']\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    try:\n"
+        "        runpy.run_module('thetatrace.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps([code, json.loads(out.getvalue())['overall'],\n"
+        "                  type(sys.modules['thetatrace.checks']) is types.ModuleType,\n"
+        "                  sorted(n for n in sys.modules if n.endswith('.cli'))]))\n"
+    )
+    assert _run_script(script) == [0, "pass", True, []]
 
 
 def test_import_cli_registers_every_traced_layer():
