@@ -5,11 +5,11 @@ takes the run's config (a `cli.RunConfig`: lattice, lattice_label, seed) and
 returns its max error as a float; `cli.run_suite` times each row and builds
 the report.
 
-`cli` registers this module as a lazy layer, so a `fit` or an `expand` never
-compiles it.  It imports nothing from `cli`, which under `python -m
-thetatrace.cli` is `__main__`: such an import would run `cli` a second time.
-It reaches `fock` and `involutions` through the lazy modules that `cli`
-registered, so a suite that calls neither compiles neither.
+The package registers this module as a lazy layer, so a `fit` or an
+`expand` never compiles it.  It imports nothing from `cli`, which under
+`python -m thetatrace.cli` is `__main__`: such an import would run `cli` a
+second time.  It reaches `fock` and `involutions` through the lazy modules
+that the package registered, so a suite that calls neither compiles neither.
 """
 
 from __future__ import annotations

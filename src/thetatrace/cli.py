@@ -12,45 +12,25 @@ runtime_ms fields.  Complex numbers are serialized as [re, im] pairs and
 q-expansions as integer exponent numerators over a single shared
 denominator.
 
-`fock`, `involutions` and `checks` load on first attribute access, by a
-LazyLoader and not local imports, so a `fit` never compiles them and
-`sys.modules` still holds all three.  `SUITE_CHECKS` lives in `checks`;
-`cli.SUITE_CHECKS` reads it from there.
+The package loads `qseries`, `fock`, `involutions` and `checks` lazily, so
+a `fit` compiles none of them; `cli` reaches `checks` and `qseries` only at
+call time.  `SUITE_CHECKS` lives in `checks`; `cli.SUITE_CHECKS` reads it
+from there.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import sys
 import time
 from typing import Callable, List, Optional
 
-from . import modular
+from . import checks, modular, qseries
 from ._frozen import Frozen
 from .errors import ConfigError, IllConditioned, LatticeFileError, ThetaTraceError
 from .lattice import EvenLattice, load_lattice
-from .qseries import dedekind_eta, eisenstein_g2
-
-
-def _lazy_layer(name: str):
-    """thetatrace.<name> if imported, else registered in sys.modules and on
-    the package now, its body compiled and run on first attribute access."""
-    full = f"{__package__}.{name}"
-    if full not in sys.modules:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[full] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return sys.modules[full]
-
-
-# checks reaches fock and involutions through these registrations
-fock, involutions = _lazy_layer("fock"), _lazy_layer("involutions")
-checks = _lazy_layer("checks")
 
 
 def __getattr__(name: str):
@@ -167,9 +147,9 @@ def run_expand(cfg: RunConfig, what: str, order: int, coset: int) -> dict:
     if order < 0:
         raise ConfigError(f"--order must be a nonnegative integer, got {order}")
     if what == "eta":
-        series = dedekind_eta(order)
+        series = qseries.dedekind_eta(order)
     elif what == "g2":
-        series = eisenstein_g2(order)
+        series = qseries.eisenstein_g2(order)
     elif what == "theta-series":
         cosets = cfg.lattice.cosets
         if not (0 <= coset < len(cosets)):

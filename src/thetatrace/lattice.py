@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from . import qseries
 from ._frozen import Frozen
 from .errors import (
     BoundTooLarge,
@@ -29,7 +30,6 @@ from .errors import (
     NotSymmetric,
     ThetaTraceError,
 )
-from .qseries import TruncatedSeries, require_grade
 
 ENUM_CAP = 10**7
 COSET_CAP = 10**4  # largest |det| = |L*/L| whose cosets are listed
@@ -279,7 +279,7 @@ class EvenLattice(Frozen):
         that grades the coset points of the exact series, and their one gate:
         before enumerating, it refuses a non-dual beta, a bound that is no int
         or negative (ValueError) and one above GRADE_CAP (CutoffTooLarge)."""
-        require_grade(bound)
+        qseries.require_grade(bound)
         beta = self.check_dual(beta)
         cols = self._ball_offsets(beta, [0] * self.dim, 2 * bound)
         # den <m,m>/2 = den <beta,beta>/2 + den (<n,Gn>/2 + <G beta, n>)
@@ -293,12 +293,12 @@ class EvenLattice(Frozen):
 
     # -- theta series ------------------------------------------------------
 
-    def theta_series(self, beta: Sequence, q_order: int) -> TruncatedSeries:
+    def theta_series(self, beta: Sequence, q_order: int) -> qseries.TruncatedSeries:
         """sum_{m in L+beta} q^{<m,m>/2} with exact integer coefficients,
         trusted through q^q_order; the grades are enumerate_vectors' keys
         over its denominator."""
         den, pairs = self.enumerate_vectors(beta, q_order)
-        return TruncatedSeries(den, Counter(key for _, key in pairs), q_order * den)
+        return qseries.TruncatedSeries(den, Counter(key for _, key in pairs), q_order * den)
 
 
 def load_lattice(path: str) -> EvenLattice:

@@ -31,8 +31,8 @@ from typing import List, Sequence, Tuple
 
 from ._frozen import Frozen
 from .errors import BoundTooLarge, IllConditioned, ThetaTraceError
+from .eta import require_im
 from .lattice import EvenLattice
-from .qseries import require_im
 from .trace import TracePoint, t_phase, z_table
 
 COND_CAP = 1e10

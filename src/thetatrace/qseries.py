@@ -29,6 +29,11 @@ All evaluators treat tau (not the number q) as the underlying variable:
 fractional powers of q are computed as exp(2 pi i tau w).  This is what makes
 monodromy come out right, e.g. eta(tau+1) = e^{i pi/12} eta(tau); a principal
 24th root of q would be periodic instead.
+
+The eta evaluator eta_eval, with require_im, q_power and the constants they
+read, lives in `eta` and is re-exported here.  The trace kernel imports it
+from `eta`, and the package loads this module lazily, so a fit never
+compiles it.
 """
 
 from __future__ import annotations
@@ -41,17 +46,16 @@ from fractions import Fraction
 from typing import Optional
 
 from ._frozen import Frozen
-from .errors import CutoffTooLarge, ImTooSmall, OutOfAnnulus, PoleAtLatticePoint
-
-TWO_PI_I = 2j * math.pi
-
-# Evaluations refuse tau below this imaginary-part floor rather than
-# degrading silently.
-IM_TAU_FLOOR = 0.25
-
-# Adaptive truncations run until the certified tail is below this fraction
-# of the accumulated magnitude (1e-16 target with a 1e3 safety factor).
-TAIL_RTOL = 1e-19
+from .errors import CutoffTooLarge, OutOfAnnulus, PoleAtLatticePoint
+from .eta import (  # noqa: F401  eta_eval and IM_TAU_FLOOR are re-exported
+    IM_TAU_FLOOR,
+    TAIL_RTOL,
+    TWO_PI_I,
+    _adaptive_order,
+    eta_eval,
+    q_power,
+    require_im,
+)
 
 _MAX_TERMS = 200_000
 
@@ -71,14 +75,6 @@ THETA_LOG_CAP = math.log(sys.float_info.max) - 2
 GRADE_CAP = 60
 
 
-def require_im(tau: complex, floor: float = IM_TAU_FLOOR) -> None:
-    # tested first: NaN compares False with the floor and would pass
-    if not cmath.isfinite(tau):
-        raise ImTooSmall(f"tau = {tau} is not finite")
-    if tau.imag < floor:
-        raise ImTooSmall(f"Im(tau) = {tau.imag} is below the floor {floor}")
-
-
 def _require_finite_z(z: complex) -> None:
     if not cmath.isfinite(z):
         raise OutOfAnnulus(f"z = {z} is not finite")
@@ -91,11 +87,6 @@ def require_grade(grade_max) -> None:
         raise ValueError(f"grade cutoff {grade_max} is negative")
     if grade_max > GRADE_CAP:
         raise CutoffTooLarge(f"grade cutoff {grade_max} exceeds the cap {GRADE_CAP}")
-
-
-def q_power(tau: complex, exponent) -> complex:
-    """exp(2 pi i tau * exponent); exponent may be int, float or Fraction."""
-    return cmath.exp(TWO_PI_I * tau * float(exponent))
 
 
 def _require_positive_int(name: str, value) -> None:
@@ -397,15 +388,6 @@ class BiSeries(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_order(abs_q: float) -> int:
-    """Smallest N with |q|^N below TAIL_RTOL (plus a fixed pad); 0 once q underflows."""
-    if abs_q >= 1.0:
-        raise ImTooSmall("q is not inside the unit disc")
-    if abs_q == 0.0:
-        return 0
-    return max(4, math.ceil(math.log(TAIL_RTOL) / math.log(abs_q))) + 4
-
-
 def dedekind_eta(order: int) -> TruncatedSeries:
     """q-expansion of eta = q^(1/24) prod (1-q^n), exact through q^order.
 
@@ -426,18 +408,6 @@ def dedekind_eta(order: int) -> TruncatedSeries:
                 coeffs[24 * g + 1] = (-1) ** k
         k += 1
     return TruncatedSeries(24, coeffs, 24 * order + 1)
-
-
-def eta_eval(tau: complex, im_floor: float = IM_TAU_FLOOR) -> complex:
-    require_im(tau, im_floor)
-    q = q_power(tau, 1)
-    n_max = _adaptive_order(abs(q))
-    prod = 1.0 + 0j
-    qn = 1.0 + 0j
-    for _ in range(n_max):
-        qn *= q
-        prod *= 1.0 - qn
-    return q_power(tau, Fraction(1, 24)) * prod
 
 
 def _sigma1_table(order: int) -> list:

@@ -35,18 +35,11 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Sequence
 
+from . import qseries
 from ._frozen import Frozen
 from .errors import TailBoundViolated
+from .eta import IM_TAU_FLOOR, TWO_PI_I, eta_eval, require_im
 from .lattice import EvenLattice
-from .qseries import (
-    IM_TAU_FLOOR,
-    TWO_PI_I,
-    BiSeries,
-    TruncatedSeries,
-    eta_eval,
-    p2_series,
-    require_im,
-)
 
 # <a(-1)1, b(-1)1> = PAIRING_SIGN * <a, b>_lattice for weight-one elements.
 PAIRING_SIGN = -1
@@ -355,7 +348,7 @@ def colored_partition_counts(colors: int, n_max: int) -> list:
 
 def moment_series(
     L: EvenLattice, beta: Sequence, weights: Sequence[Sequence], q_order: int
-) -> TruncatedSeries:
+) -> qseries.TruncatedSeries:
     """sum_m prod_w <w, m> q^{<m,m>/2} over L+beta, trusted through
     q^q_order.
 
@@ -381,13 +374,13 @@ def _moments(
         coeffs: dict = {}
         for key, m in points:
             coeffs[key] = coeffs.get(key, 0) + math.prod(L.inner(w, m) for w in weights)
-        out.append(TruncatedSeries(den, coeffs, q_order * den))
+        out.append(qseries.TruncatedSeries(den, coeffs, q_order * den))
     return out
 
 
 def graded_trace_series(
     L: EvenLattice, beta: Sequence, q_order: int, weights: Sequence[Sequence] = ()
-) -> TruncatedSeries:
+) -> qseries.TruncatedSeries:
     """q-expansion of tr_{W_beta} [prod_w w(0)] q^{L(0) - d/24} through
     lattice grade q_order.
 
@@ -407,13 +400,13 @@ def _graded_traces(
     moments = _moments(L, beta, q_order, weight_lists)
     d = L.dim
     osc = colored_partition_counts(d, q_order)
-    eta_inv = TruncatedSeries(24, {24 * n - d: c for n, c in enumerate(osc)}, 24 * q_order - d)
+    eta_inv = qseries.TruncatedSeries(24, {24 * n - d: c for n, c in enumerate(osc)}, 24 * q_order - d)
     return [m * eta_inv for m in moments]
 
 
 def recursion_series(
     L: EvenLattice, beta: Sequence, vectors: Sequence[Sequence], x_span: int, q_order: int
-) -> TruncatedSeries | BiSeries:
+) -> qseries.TruncatedSeries | qseries.BiSeries:
     """Closed side of the trace recursion whose literal side is
     fock.s_function_trace, through lattice grade q_order.
 
@@ -431,7 +424,7 @@ def recursion_series(
     weighted, plain = _graded_traces(L, beta, q_order, [list(vectors), ()])
     v1, v2 = vectors
     pairing = state_pairing(L, [-x for x in v1], v2)
-    return p2_series(x_span, q_order).scale(pairing) * plain + weighted
+    return qseries.p2_series(x_span, q_order).scale(pairing) * plain + weighted
 
 
 def insertion_counts_by_grade(

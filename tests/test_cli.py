@@ -795,19 +795,22 @@ def _run_script(script: str):
 
 
 def test_fock_and_involutions_load_on_first_use():
-    # type() and not attribute access, which would load the module: a fit
-    # and an expand leave all three lazy layers unexecuted, main-theorem
-    # executes checks alone, and the combinatorics and npoint suites execute
-    # fock and involutions
+    # type() and not attribute access, which would load the module: the
+    # worker's set-up (config and cosets) and a fit leave all four lazy
+    # layers unexecuted, an expand of a theta series executes qseries alone,
+    # main-theorem adds checks, and the combinatorics and npoint suites
+    # execute fock and involutions
     script = (
         "import contextlib, io, json, sys, types\n"
         "from thetatrace import cli\n"
         "def loaded():\n"
         "    return [type(sys.modules['thetatrace.' + n]) is types.ModuleType\n"
-        "            for n in ('fock', 'involutions', 'checks')]\n"
-        "codes, states = [], []\n"
-        "for group in ([['fit', '--alpha', '0,-1,1,0', '--lattice', 'lattices/a2.json'],\n"
-        "               ['expand', '--what', 'theta-series', '--coset', '1',\n"
+        "            for n in ('qseries', 'fock', 'involutions', 'checks')]\n"
+        "fit = ['fit', '--alpha', '0,-1,1,0', '--lattice', 'lattices/a2.json']\n"
+        "cli._build_config(cli.build_parser().parse_args(fit)).lattice.cosets\n"
+        "codes, states = [], [loaded()]\n"
+        "for group in ([fit],\n"
+        "              [['expand', '--what', 'theta-series', '--coset', '1',\n"
         "                '--lattice', 'lattices/a2.json']],\n"
         "              [['verify', 'main-theorem']],\n"
         "              [['verify', 'combinatorics'],\n"
@@ -820,8 +823,33 @@ def test_fock_and_involutions_load_on_first_use():
     )
     assert _run_script(script) == [
         [0, 0, 0, 0, 0],
-        [[False, False, False], [False, False, True], [True, True, True]],
+        [
+            [False, False, False, False],
+            [False, False, False, False],
+            [True, False, False, False],
+            [True, False, False, True],
+            [True, True, True, True],
+        ],
     ]
+
+
+@pytest.mark.parametrize(
+    "args", [["expand", "--what", "eta"], ["verify", "special-functions"]], ids=["eta", "special"]
+)
+def test_qseries_loads_on_first_use(args):
+    # registered, not executed, by the import of cli; executed by a command
+    # that expands or evaluates a q-series
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from thetatrace import cli\n"
+        "def loaded():\n"
+        "    return type(sys.modules['thetatrace.qseries']) is types.ModuleType\n"
+        "before = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({args!r})\n"
+        "print(json.dumps([before, code, loaded()]))\n"
+    )
+    assert _run_script(script) == [False, 0, True]
 
 
 @pytest.mark.parametrize("cli_first", [True, False], ids=["cli-first", "layer-first"])
@@ -831,24 +859,26 @@ def test_lazy_layers_are_the_modules_imported_by_name(cli_first):
     # table of checks, whose keys cli.SUITES spells out
     imports = [
         "from thetatrace import cli",
-        "import thetatrace.fock, thetatrace.involutions, thetatrace.checks",
+        "import thetatrace.fock, thetatrace.involutions, thetatrace.checks, thetatrace.qseries",
     ]
     script = (
         "import json, sys\n"
         + "\n".join(imports if cli_first else imports[::-1]) + "\n"
         "import thetatrace\n"
-        "from thetatrace import checks, fock, involutions\n"
+        "from thetatrace import checks, eta, fock, involutions, qseries, trace\n"
         "print(json.dumps([\n"
-        "    fock is cli.fock is thetatrace.fock is sys.modules['thetatrace.fock'],\n"
-        "    involutions is cli.involutions is sys.modules['thetatrace.involutions'],\n"
+        "    fock is checks.fock is thetatrace.fock is sys.modules['thetatrace.fock'],\n"
+        "    involutions is checks.involutions is sys.modules['thetatrace.involutions'],\n"
         "    checks is cli.checks is thetatrace.checks is sys.modules['thetatrace.checks'],\n"
-        "    cli.fock.build_basis is fock.build_basis,\n"
+        "    qseries is cli.qseries is thetatrace.qseries is sys.modules['thetatrace.qseries'],\n"
+        "    checks.fock.build_basis is fock.build_basis,\n"
         "    checks.fock is fock and checks.involutions is involutions,\n"
+        "    qseries.eta_eval is eta.eta_eval is trace.eta_eval,\n"
         "    cli.SUITE_CHECKS is checks.SUITE_CHECKS,\n"
         "    cli.SUITES == tuple(checks.SUITE_CHECKS),\n"
         "]))\n"
     )
-    assert _run_script(script) == [True] * 7
+    assert _run_script(script) == [True] * 9
 
 
 def test_checks_imports_nothing_from_cli():
@@ -865,6 +895,64 @@ def test_checks_imports_nothing_from_cli():
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported if name.split(".")[-1] == "cli"}
     assert imported >= {"fock", "involutions"}
+
+
+def _module_level_imports(path: Path) -> set:
+    """What the module imports when it runs, by every import statement not
+    inside a function body: absolute names, and relative ones with their
+    dots; a `from` import gives its module, not its names."""
+    imported, todo = set(), list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return imported
+
+
+@pytest.mark.parametrize(
+    "module", ["__init__", "errors", "_frozen", "eta", "lattice", "trace", "modular", "cli"]
+)
+def test_eager_modules_import_no_name_from_qseries(module):
+    # a module-level `from .qseries import name` would execute all of
+    # qseries on every fit; the eager layers reach it through the lazy
+    # module (`from . import qseries`), at call time
+    imported = _module_level_imports(Path(cli.__file__).with_name(f"{module}.py"))
+    assert not imported & {".qseries", "thetatrace.qseries"}
+
+
+def test_eta_imports_nothing_from_the_package_but_errors():
+    imported = _module_level_imports(Path(cli.__file__).with_name("eta.py"))
+    package = {n for n in imported if n.startswith(".") or n.split(".")[0] == "thetatrace"}
+    assert package == {".errors"}
+
+
+def test_package_names_resolve():
+    # the q-series names of __all__ load qseries when read and are its own
+    # objects; an unknown name still raises AttributeError
+    import thetatrace
+
+    lazy = {name for name in thetatrace.__all__ if name not in vars(thetatrace)}
+    assert lazy == {
+        "BiSeries", "TruncatedSeries", "dedekind_eta", "eisenstein_g2", "eta_eval", "g2_eval",
+        "jacobi_theta", "p2_eval", "p2_series", "theta_s_constant", "weierstrass_p",
+    }
+    for name in thetatrace.__all__:
+        value = getattr(thetatrace, name)  # raises if the name is unbound
+        assert name not in lazy or value is vars(qseries)[name], name
+    from thetatrace import jacobi_theta
+
+    assert jacobi_theta is qseries.jacobi_theta
+    namespace = {}
+    exec("from thetatrace import *", namespace)
+    assert set(thetatrace.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        thetatrace.no_such_name
+    with pytest.raises(ImportError):
+        exec("from thetatrace import no_such_name", {})
 
 
 def test_python_m_cli_leaves_no_second_cli_module():
