@@ -5,8 +5,8 @@ from operator import attrgetter
 
 
 class Frozen:
-    """Immutable value with two or more fields, named in `_fields` and set by
-    `__init__` through `object.__setattr__`.  Equal when of one class with
+    """Immutable value with two or more fields, named once, in `_fields`, and
+    set by `__init__` with one `_set` call.  Equal when of one class with
     equal fields; hashed as the tuple of fields."""
 
     __slots__ = ()
@@ -15,6 +15,11 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._astuple = attrgetter(*cls._fields)
+
+    def _set(self, *values) -> None:
+        """Assign values to `_fields` in order; ValueError on a count mismatch."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -38,22 +38,18 @@ N_POINTS = 20  # sample points of the special-function, theta and t-phase checks
 X_SPAN = 4  # x-exponent span of the two-insertion recursion checks
 Q_ORDER = 6  # q-order of the recursion checks and the censuses
 HALF = Fraction(1, 2)  # the nonzero theta characteristic
-
-
-def _mats():
-    t, s = modular.T, modular.S
-    return [s, t, t * s * t]
+MATS = (modular.S, modular.T, modular.T * modular.S * modular.T)  # alphas of the weight-two laws
 
 
 def _sample_taus(seed: int, count: int, im_lo: float = 0.6, for_laws: bool = False):
     """With for_laws set, a tau is redrawn until alpha.tau for every alpha of
-    _mats() also clears IM_TAU_FLOOR (Im(TST.tau) = Im tau / |tau + 1|^2
+    MATS also clears IM_TAU_FLOOR (Im(TST.tau) = Im tau / |tau + 1|^2
     reaches 0.244 in this box); seeds that never redraw keep their samples."""
     rng = modular.seeded_rng(seed)
     out = []
     while len(out) < count:
         tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(im_lo, 1.7))
-        if not for_laws or all(a.act_tau(tau).imag >= IM_TAU_FLOOR for a in _mats()):
+        if not for_laws or all(a.act_tau(tau).imag >= IM_TAU_FLOOR for a in MATS):
             out.append(tau)
     return out
 
@@ -93,11 +89,11 @@ def check_g2_at_i(cfg) -> float:
 
 
 def _weight_two_law(fn: Callable, taus: list, rng, anomaly: bool) -> float:
-    """max |fn(z/j, alpha.tau) - j^2 fn(z, tau) [+ 2 pi i f j]| over _mats()
+    """max |fn(z/j, alpha.tau) - j^2 fn(z, tau) [+ 2 pi i f j]| over MATS
     x taus, with j = f tau + d and the bracket present when anomaly is set.
     Each (alpha, tau) draws its z from rng; without an rng, z = 0."""
     worst, z = 0.0, 0j
-    for alpha in _mats():
+    for alpha in MATS:
         f, d = alpha.f, alpha.d
         for tau in taus:
             if rng is not None:
@@ -177,18 +173,6 @@ def _theta_shift_gap(h, k, z: complex, tau: complex) -> complex:
 # ---------------------------------------------------------------------------
 # combinatorics
 # ---------------------------------------------------------------------------
-
-
-def check_involution_recurrence(cfg) -> float:
-    n_cap = involutions.N_CAP
-    t = [1, 1]  # counts for n = 0, 1
-    for n in range(2, n_cap + 1):
-        t.append(t[-1] + (n - 1) * t[-2])
-    ok = all(
-        sum(involutions.count_with_fixed(n, r) for r in range(n % 2, n + 1, 2)) == t[n]
-        for n in range(1, n_cap + 1)
-    )
-    return 0.0 if ok else 1.0
 
 
 def check_fixed_counts(cfg) -> float:
@@ -355,7 +339,6 @@ SUITE_CHECKS = {
         ("theta-shift-table", lambda cfg: _theta_table(cfg.seed + 12, _theta_shift_gap), 1e-10),
     ],
     "combinatorics": [
-        ("involution-recurrence", check_involution_recurrence, EXACT_TOL),
         ("fixed-point-counts", check_fixed_counts, EXACT_TOL),
         ("decomposition-products", check_decomposition_products, EXACT_TOL),
         ("sign-lemma", check_sign_lemma, EXACT_TOL),

@@ -53,9 +53,7 @@ class RunConfig(Frozen):
     _fields = ("lattice", "lattice_label", "seed")
 
     def __init__(self, lattice: EvenLattice, lattice_label: str, seed: int = 0):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "lattice_label", lattice_label)
-        object.__setattr__(self, "seed", seed)
+        self._set(lattice, lattice_label, seed)
 
 
 def _run_check(name: str, fn: Callable[[RunConfig], float], tol: float, cfg: RunConfig) -> dict:
@@ -262,17 +260,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
             _emit(report, args)
             return 0
-        if args.command == "expand":
-            report = run_expand(cfg, args.what, args.order, args.coset)
-            _emit(report, args)
-            return 0
+        # expand: the required subparsers admit no other command
+        report = run_expand(cfg, args.what, args.order, args.coset)
+        _emit(report, args)
+        return 0
     except (ConfigError, LatticeFileError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ThetaTraceError as exc:
         sys.stderr.write(f"verification aborted: {type(exc).__name__}: {exc}\n")
         return 1
-    raise AssertionError("unreachable command dispatch")
 
 
 if __name__ == "__main__":

@@ -258,10 +258,10 @@ def exponential_regroup_check(p_max: int, r_max: int) -> dict:
     exactly on every monomial c^p X^r with p <= p_max and r <= r_max, as
     the integer cross-product count * p! 2^p r! == n!.  The coefficient
     count/n! on the left receives contributions only from n = 2p + r, and
-    count is the pairing count C(n,r)(2p)!/(p! 2^p), which cli's
-    `fixed-point-counts` check compares with count_with_fixed for n <= 12.
-    No `verify` suite runs this: count/n! == 1/(r! p! 2^p) is the statement
-    that verify_multinomial_identity(p, r) compares, and cli's
+    count is the pairing count C(n,r)(2p)!/(p! 2^p), which the
+    `fixed-point-counts` check of `checks` compares with count_with_fixed
+    for n <= 12.  No `verify` suite runs this: count/n! == 1/(r! p! 2^p) is
+    the statement that verify_multinomial_identity(p, r) compares, and the
     `multinomial-identity` check runs it for every p, r <= 30.
     """
     if any(isinstance(b, bool) or not isinstance(b, int) for b in (p_max, r_max)):

@@ -68,8 +68,7 @@ class EvenLattice(Frozen):
             for j in range(d):
                 if rows[i][j] != rows[j][i]:
                     raise NotSymmetric(f"gram[{i}][{j}] != gram[{j}][{i}]")
-        object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "name", name)
+        self._set(rows, name)
         self._ldl  # raises NotPositiveDefinite
         for i in range(d):
             if rows[i][i] % 2 != 0:

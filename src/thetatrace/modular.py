@@ -57,10 +57,7 @@ class UnimodularMatrix(Frozen):
         a, b, f, d = entries
         if a * d - b * f != 1:
             raise ValueError("determinant must be 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "d", d)
+        self._set(a, b, f, d)
 
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         return UnimodularMatrix(
@@ -137,7 +134,7 @@ def decompose_ST(alpha: UnimodularMatrix):
         k = round(m.a / m.f)
         emit_t(k)
         tokens.append("S")
-        m = s_inv * _t_power(-k) * m
+        m = s_inv * UnimodularMatrix(1, -k, 0, 1) * m
     # now m = (sign, sign*m.b; 0, sign)
     sign = m.a
     emit_t(sign * m.b)
@@ -147,13 +144,12 @@ def decompose_ST(alpha: UnimodularMatrix):
     return tokens, sign
 
 
-def _t_power(k: int) -> UnimodularMatrix:
-    return UnimodularMatrix(1, k, 0, 1)
-
-
 def seeded_rng(seed: int) -> random.Random:
     """random.Random(seed), the stream every sample is drawn from.  A negative
-    or non-integer seed is refused: Random would fold -seed onto seed."""
+    seed is refused, since Random would fold -seed onto seed, and so is a
+    non-integer seed, a bool included, which operator.index reads as 0 or 1."""
+    if isinstance(seed, bool):
+        raise TypeError(f"expected an integer seed, got {seed!r}")
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"expected a non-negative integer seed, got {seed}")

@@ -118,9 +118,7 @@ class TruncatedSeries(Frozen):
             k = index(k)
             if v != 0 and k <= guaranteed_order:
                 cleaned[k] = v
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "guaranteed_order", guaranteed_order)
+        self._set(denom, cleaned, guaranteed_order)
 
     # -- basic views -------------------------------------------------
 
@@ -162,8 +160,6 @@ class TruncatedSeries(Frozen):
             out[k] = out.get(k, 0) + v
         return TruncatedSeries(a.denom, out, min(a.guaranteed_order, b.guaranteed_order))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries(
             self.denom, {k: -v for k, v in self.coeffs.items()}, self.guaranteed_order
@@ -199,8 +195,6 @@ class TruncatedSeries(Frozen):
                 if k <= g:
                     out[k] = out.get(k, 0) + va * vb
         return TruncatedSeries(a.denom, out, g)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 1:
@@ -281,11 +275,7 @@ class BiSeries(Frozen):
             j, m = index(j), index(m)
             if v != 0 and m <= q_order and x_min <= j <= x_max:
                 cleaned[(j, m)] = v
-        object.__setattr__(self, "x_min", x_min)
-        object.__setattr__(self, "x_max", x_max)
-        object.__setattr__(self, "q_order", q_order)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "q_denom", q_denom)
+        self._set(x_min, x_max, q_order, cleaned, q_denom)
 
     def coefficient(self, j: int, q_exponent):
         key = Fraction(q_exponent) * self.q_denom

@@ -77,9 +77,7 @@ class TracePoint(Frozen):
             raise ValueError("insertion vectors must have finite coordinates")
         if not cmath.isfinite(tau) or tau.imag <= 0:
             raise ValueError("tau must be a finite point of the upper half-plane")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "tau", tau)
+        self._set(a, b, tau)
 
 
 def state_pairing(L: EvenLattice, a: Sequence, b: Sequence):

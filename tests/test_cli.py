@@ -137,7 +137,6 @@ LAYOUT_HEAD = [
     ("p2-annulus-consistency", 1e-9),
     ("theta-inversion-table", 1e-10),
     ("theta-shift-table", 1e-10),
-    ("involution-recurrence", 0.5),
     ("fixed-point-counts", 0.5),
     ("decomposition-products", 0.5),
     ("sign-lemma", 0.5),
@@ -369,6 +368,14 @@ def test_one_insertion_trace_vanishes_where_the_check_says(name):
     ]
     rank_one = name in ("norm4", "n10")
     assert nonzero == [rank_one and any((2 * x).denominator > 1 for x in b) for b in L.cosets]
+
+
+def test_fixed_counts_check_catches_one_count_off_at_twelve(monkeypatch):
+    count = involutions.count_with_fixed
+    monkeypatch.setattr(
+        involutions, "count_with_fixed", lambda n, r: count(n, r) + ((n, r) == (12, 0))
+    )
+    assert checks.check_fixed_counts(_a2_config()) == 1.0
 
 
 def test_sign_lemma_check_catches_a_failure_at_three_pairs(monkeypatch):

@@ -69,6 +69,19 @@ def test_counts_sum_to_telephone():
         assert total == TELEPHONE[n]
 
 
+def test_closed_form_rows_sum_to_the_telephone_recurrence():
+    # t(n) = t(n-1) + (n-1) t(n-2): n is fixed, or paired with one of the
+    # n-1 others.  fixed-point-counts compares the closed form with the
+    # enumerated counts, so this carries the recurrence to them, n <= 12.
+    t = [1, 1]
+    for n in range(2, 31):
+        t.append(t[-1] + (n - 1) * t[-2])
+    assert t[: len(TELEPHONE)] == TELEPHONE
+    for n in range(31):
+        total = sum(closed_form_fixed_count((n - r) // 2, r) for r in range(n % 2, n + 1, 2))
+        assert total == t[n], n
+
+
 def test_involution_order_matches_tuple_recursion():
     for n in range(1, 10):
         assert list_involutions(n) == _tuple_recursion(n)

@@ -528,6 +528,13 @@ def test_truncated_series_operand_works_in_either_position():
     assert (t * bi).coefficient(1, 2) == 6.0
     assert (t - bi).coefficient(1, 0) == -2.0
     assert bi.max_abs_diff(t) == 5.0
+    assert t + bi == bi + t and t * bi == bi * t
+    # a number on the left finds no reflected operator on the series
+    for s in (t, bi):
+        with pytest.raises(TypeError):
+            1 + s
+        with pytest.raises(TypeError):
+            2 * s
 
 
 def test_biseries_lifts_a_truncated_series_into_any_window():

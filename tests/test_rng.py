@@ -109,7 +109,7 @@ def test_negative_seed_raises_like_numpy():
         modular.random_words(1, 6, -3)
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True])
 def test_non_integer_seed_raises(seed):
     with pytest.raises(TypeError):
         modular.sample_points(2, 1, seed)

@@ -103,6 +103,18 @@ def test_values_refuse_assignment_and_deletion(name):
     assert x == CASES[name][0]()
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_set_takes_one_value_per_field(name):
+    # each __init__ sets its fields through _set, which names them once, in
+    # _fields: one value too few or too many is refused
+    x = CASES[name][0]()
+    values = tuple(getattr(x, f) for f in FIELDS[name])
+    for wrong in (values[:-1], values + (None,)):
+        with pytest.raises(ValueError):
+            x._set(*wrong)
+    assert tuple(getattr(x, f) for f in FIELDS[name]) == values
+
+
 def test_values_take_their_defaults():
     assert EvenLattice(((2,),)).name == ""
     assert RunConfig(EvenLattice(((4,),)), "builtin").seed == 0
